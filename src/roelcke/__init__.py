@@ -28,7 +28,6 @@ from roelcke.markov import (
     product,
 )
 from roelcke.uniformity import (
-    EntourageParams,
     NetInfeasibleError,
     precompactness_net,
     roelcke_related,
@@ -64,7 +63,6 @@ __all__ = [
     "AtomSpace",
     "Automorphism",
     "CouplingMatrix",
-    "EntourageParams",
     "FactorizationPreconditionError",
     "FactorizationWitness",
     "IdempotentReport",

@@ -7,8 +7,9 @@ key.  Rationals are serialized as canonical "p/q" strings, never floats.
 Flags can also be set through environment variables with the ROELCKE_
 prefix (e.g. ROELCKE_SUITE, ROELCKE_ATOMS); explicit flags win.
 
-Exit codes: 0 no violations, 1 violations observed, 2 usage error,
-3 infeasible parameters (e.g. unrealizable net grid).
+Exit codes: 0 no violations, 1 violations observed, 2 usage error (bad
+flags, an input outside a suite's regime, an unwritable --out), 3
+infeasible parameters (e.g. unrealizable net grid).
 """
 from __future__ import annotations
 
@@ -22,25 +23,13 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
 
 from roelcke import density, factorization, semigroup, wap
 from roelcke import sampling
 from roelcke.markov import MarkovMatrix
 from roelcke.space import compose, joint_matrix
 from roelcke.uniformity import NetInfeasibleError, precompactness_net, w_distance
-
-SUITES = (
-    "forward",
-    "backward",
-    "realize",
-    "birkhoff",
-    "cesaro",
-    "dichotomy",
-    "psd",
-    "modulus",
-    "net",
-)
 
 ENV_PREFIX = "ROELCKE_"
 
@@ -53,7 +42,6 @@ class ExperimentConfig:
     epsilon: Fraction = Fraction(1, 8)
     trials: int = 100
     seed: int = 0
-    mode: str = "rational"
     tol: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -61,12 +49,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.atoms < 1 or self.cells < 1:
+            raise ValueError("atoms and cells must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.cells > self.atoms:
             raise ValueError("cells must not exceed atoms")
-        if self.mode not in ("rational", "float"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -76,7 +64,9 @@ class ExperimentConfig:
             "epsilon": str(self.epsilon),
             "trials": self.trials,
             "seed": self.seed,
-            "mode": self.mode,
+            # No suite has a float mode any more; the fixed key keeps report
+            # bytes, and so their digests, identical to earlier versions.
+            "mode": "rational",
             "tol": self.tol,
         }
 
@@ -130,241 +120,163 @@ class Report:
         }
 
 
+# One trial: (digest input, observed values, passed).
+Trial = tuple[dict, dict, bool]
+
+
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _rat(value: Fraction) -> str:
-    return str(value)
-
-
-def _run_forward(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
-    for t in range(cfg.trials):
+def _run_forward(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
+    for _ in range(cfg.trials):
         alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
         S = sampling.random_permutation(rng, cfg.atoms)
         P = sampling.random_small_deviation(rng, alpha, cfg.epsilon)
         Q = sampling.random_small_deviation(rng, alpha, cfg.epsilon)
         distance, ok = factorization.forward_bound_check(S, P, Q, alpha, cfg.epsilon)
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest(
-                    {"labels": alpha.labels, "S": S.forward, "P": P.forward,
-                     "Q": Q.forward}
-                ),
-                observed={
-                    "distance": _rat(distance),
-                    "distance_decimal": float(distance),
-                    "bound": _rat(2 * cfg.epsilon),
-                },
-                passed=ok,
-            )
+        yield (
+            {"labels": alpha.labels, "S": S.forward, "P": P.forward, "Q": Q.forward},
+            {
+                "distance": str(distance),
+                "distance_decimal": float(distance),
+                "bound": str(2 * cfg.epsilon),
+            },
+            ok,
         )
-    return records
 
 
-def _run_backward(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
-    for t in range(cfg.trials):
+def _run_backward(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
+    for _ in range(cfg.trials):
         alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
         S, T = sampling.random_close_pair(rng, alpha, cfg.epsilon)
         witness = factorization.factorize(S, T, alpha, cfg.epsilon)
-        product = compose(witness.P, compose(S, witness.R))
+        exact = compose(witness.P, compose(S, witness.R)).forward == T.forward
         lhs, rhs = factorization.budget_identity(witness, cfg.atoms)
         passed = (
-            product.forward == T.forward
+            exact
             and witness.r_deviation < 2 * cfg.epsilon
             and witness.p_deviation
             < factorization.LEFT_FACTOR_CONSTANT * cfg.epsilon
             and lhs == rhs
             and lhs < cfg.epsilon
         )
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest(
-                    {"labels": alpha.labels, "S": S.forward, "T": T.forward}
-                ),
-                observed={
-                    "r_deviation": _rat(witness.r_deviation),
-                    "p_deviation": _rat(witness.p_deviation),
-                    "leftover_mass": _rat(witness.leftover_mass),
-                    "budget_rhs": _rat(rhs),
-                    "exact_product": product.forward == T.forward,
-                },
-                passed=passed,
-            )
+        yield (
+            {"labels": alpha.labels, "S": S.forward, "T": T.forward},
+            {
+                "r_deviation": str(witness.r_deviation),
+                "p_deviation": str(witness.p_deviation),
+                "leftover_mass": str(witness.leftover_mass),
+                "budget_rhs": str(rhs),
+                "exact_product": exact,
+            },
+            passed,
         )
-    return records
 
 
-def _run_realize(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
-    for t in range(cfg.trials):
+def _run_realize(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
+    for _ in range(cfg.trials):
         alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
         C = sampling.random_realizable_coupling(rng, alpha)
         T = density.realize(C, alpha, cfg.atoms)
         exact = joint_matrix(T, alpha).entries == C.entries
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest(
-                    {"labels": alpha.labels, "C": C.to_strings()}
-                ),
-                observed={"exact": exact},
-                passed=exact,
-            )
-        )
-    return records
+        yield {"labels": alpha.labels, "C": C.to_strings()}, {"exact": exact}, exact
 
 
-def _run_birkhoff(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
+def _run_birkhoff(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     size = cfg.cells if cfg.cells > 1 else cfg.atoms
-    for t in range(cfg.trials):
+    bound = (size - 1) ** 2 + 1
+    for _ in range(cfg.trials):
         D = sampling.random_markov(rng, size, terms=size + 1)
         terms = density.birkhoff(D)
         recon = density.birkhoff_reconstruct(terms, size)
         exact = tuple(tuple(r) for r in recon) == D.entries
-        bound = (size - 1) ** 2 + 1
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest({"D": D.to_strings()}),
-                observed={
-                    "terms": len(terms),
-                    "term_bound": bound,
-                    "exact": exact,
-                },
-                passed=exact and len(terms) <= bound,
-            )
+        yield (
+            {"D": D.to_strings()},
+            {"terms": len(terms), "term_bound": bound, "exact": exact},
+            exact and len(terms) <= bound,
         )
-    return records
 
 
-def _run_cesaro(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
-    for t in range(cfg.trials):
+def _run_cesaro(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
+    for _ in range(cfg.trials):
         K = sampling.random_markov(rng, cfg.atoms, terms=3)
+        key = {"K": K.to_strings()}
         try:
             report = semigroup.cesaro_idempotent(K, tol=cfg.tol, max_iter=10**5)
         except semigroup.CesaroConvergenceError as exc:
-            records.append(
-                TrialRecord(
-                    index=t,
-                    digest=_digest({"K": K.to_strings()}),
-                    observed={"converged": False, "last_defect": exc.last_defect},
-                    passed=False,
-                )
-            )
+            yield key, {"converged": False, "last_defect": exc.last_defect}, False
             continue
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest({"K": K.to_strings()}),
-                observed={
-                    "converged": True,
-                    "defect": report.idempotency_defect,
-                    "absorb_left": report.absorb_left,
-                    "absorb_right": report.absorb_right,
-                    "classification": report.classification,
-                    "iterations": report.iterations,
-                },
-                passed=report.idempotency_defect < cfg.tol
-                and report.absorb_left < cfg.tol
-                and report.absorb_right < cfg.tol,
-            )
+        yield (
+            key,
+            {
+                "converged": True,
+                "defect": report.idempotency_defect,
+                "absorb_left": report.absorb_left,
+                "absorb_right": report.absorb_right,
+                "classification": report.classification,
+                "iterations": report.iterations,
+            },
+            report.idempotency_defect < cfg.tol
+            and report.absorb_left < cfg.tol
+            and report.absorb_right < cfg.tol,
         )
-    return records
 
 
-def _run_dichotomy(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
+def _run_dichotomy(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     found = semigroup.invariant_idempotent_classify(cfg.atoms)
-    expected = [
-        MarkovMatrix.identity(cfg.atoms),
-        MarkovMatrix.uniform(cfg.atoms),
-    ]
+    expected = [MarkovMatrix.identity(cfg.atoms), MarkovMatrix.uniform(cfg.atoms)]
     ok = [m.entries for m in found] == [m.entries for m in expected]
-    return [
-        TrialRecord(
-            index=0,
-            digest=_digest({"N": cfg.atoms}),
-            observed={"count": len(found), "expected_pair": ok},
-            passed=ok,
-        )
-    ]
+    yield {"N": cfg.atoms}, {"count": len(found), "expected_pair": ok}, ok
 
 
-def _run_psd(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
+def _run_psd(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     group_size = max(2, cfg.cells)
-    for t in range(cfg.trials):
+    for _ in range(cfg.trials):
         f = sampling.random_observable(rng, cfg.atoms)
         elements = [
             sampling.random_permutation(rng, cfg.atoms) for _ in range(group_size)
         ]
         min_eig, ok = wap.gram_psd_check(f, elements)
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest(
-                    {"f": [str(v) for v in f.values],
-                     "elements": [e.forward for e in elements]}
-                ),
-                observed={"min_eigenvalue": min_eig},
-                passed=ok,
-            )
+        yield (
+            {"f": [str(v) for v in f.values],
+             "elements": [e.forward for e in elements]},
+            {"min_eigenvalue": min_eig},
+            ok,
         )
-    return records
 
 
-def _run_modulus(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
-    records = []
-    for t in range(cfg.trials):
+def _run_modulus(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
+    for _ in range(cfg.trials):
         P = sampling.random_permutation(rng, cfg.atoms)
         S = sampling.random_permutation(rng, cfg.atoms)
         Q = sampling.random_permutation(rng, cfg.atoms)
         f = sampling.random_observable(rng, cfg.atoms)
         check = wap.roelcke_modulus_check(P, S, Q, f)
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest(
-                    {"P": P.forward, "S": S.forward, "Q": Q.forward,
-                     "f": [str(v) for v in f.values]}
-                ),
-                observed={"lhs": check.lhs, "rhs": check.rhs},
-                passed=check.ok,
-            )
+        yield (
+            {"P": P.forward, "S": S.forward, "Q": Q.forward,
+             "f": [str(v) for v in f.values]},
+            {"lhs": check.lhs, "rhs": check.rhs},
+            check.ok,
         )
-    return records
 
 
-def _run_net(cfg: ExperimentConfig, rng: Random) -> list[TrialRecord]:
+def _run_net(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
     net = precompactness_net(alpha, cfg.epsilon, cfg.atoms)
-    records = []
-    for t in range(cfg.trials):
+    for _ in range(cfg.trials):
         T = sampling.random_permutation(rng, cfg.atoms)
         best = min(w_distance(T, c, alpha) for c in net)
-        records.append(
-            TrialRecord(
-                index=t,
-                digest=_digest({"labels": alpha.labels, "T": T.forward}),
-                observed={
-                    "net_size": len(net),
-                    "nearest": _rat(best),
-                    "nearest_decimal": float(best),
-                },
-                passed=best < cfg.epsilon,
-            )
+        yield (
+            {"labels": alpha.labels, "T": T.forward},
+            {"net_size": len(net), "nearest": str(best),
+             "nearest_decimal": float(best)},
+            best < cfg.epsilon,
         )
-    return records
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, Random], list[TrialRecord]]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig, Random], Iterator[Trial]]] = {
     "forward": _run_forward,
     "backward": _run_backward,
     "realize": _run_realize,
@@ -376,36 +288,33 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig, Random], list[TrialRecord]]] = {
     "net": _run_net,
 }
 
+SUITES = tuple(_RUNNERS)
+
 
 def run_suite(config: ExperimentConfig) -> Report:
-    rng = Random(config.seed)
-    records = _RUNNERS[config.suite](config, rng)
-    return Report(config=config, records=records)
+    trials = _RUNNERS[config.suite](config, Random(config.seed))
+    return Report(config=config, records=[
+        TrialRecord(index=t, digest=_digest(key), observed=observed, passed=passed)
+        for t, (key, observed, passed) in enumerate(trials)
+    ])
 
 
 def export_csv(report: Report, path: str) -> None:
     """One row per trial; rational fields stay "p/q" strings."""
     keys = sorted({k for r in report.records for k in r.observed})
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "digest", "passed", *keys])
-            for r in report.records:
-                writer.writerow(
-                    [r.index, r.digest, r.passed]
-                    + [r.observed.get(k, "") for k in keys]
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "digest", "passed", *keys])
+        for r in report.records:
+            writer.writerow(
+                [r.index, r.digest, r.passed] + [r.observed.get(k, "") for k in keys]
+            )
 
 
 def export_json(report: Report, path: str) -> None:
-    try:
-        with open(path, "w") as fh:
-            json.dump(report.to_json_obj(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path}: {exc}") from exc
+    with open(path, "w") as fh:
+        json.dump(report.to_json_obj(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _env_default(name: str, fallback):
@@ -425,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help='rational string, e.g. "1/8"')
     parser.add_argument("--trials", type=int, default=_env_default("trials", 100))
     parser.add_argument("--seed", type=int, default=_env_default("seed", 0))
-    parser.add_argument("--mode", choices=("rational", "float"),
-                        default=_env_default("mode", "rational"))
     parser.add_argument("--tol", type=float, default=_env_default("tol", 1e-8))
     parser.add_argument("--out", default=_env_default("out", None))
     parser.add_argument("--format", choices=("json", "csv"),
@@ -449,7 +356,6 @@ def main(argv: list[str] | None = None) -> int:
             epsilon=Fraction(args.epsilon),
             trials=int(args.trials),
             seed=int(args.seed),
-            mode=args.mode,
             tol=float(args.tol),
         )
     except (ValueError, ZeroDivisionError) as exc:
@@ -460,11 +366,16 @@ def main(argv: list[str] | None = None) -> int:
     except NetInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # an input outside the suite's regime
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.out:
-        if args.format == "csv":
-            export_csv(report, args.out)
-        else:
-            export_json(report, args.out)
+        export = export_csv if args.format == "csv" else export_json
+        try:
+            export(report, args.out)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         json.dump(report.to_json_obj(), sys.stdout, indent=2, sort_keys=True)
         print()

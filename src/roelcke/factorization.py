@@ -21,16 +21,11 @@ empirically on complete small cases.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from roelcke.space import (
-    Automorphism,
-    Partition,
-    compose,
-    inverse,
-)
+from roelcke.space import Automorphism, Partition, compose
 from roelcke.uniformity import u_deviation, w_distance
 
 #: Empirical/analytic bound on u_deviation(P)/epsilon for the canonical
@@ -182,12 +177,6 @@ def budget_identity(witness: FactorizationWitness, atom_count: int) -> tuple[Fra
     return lhs, rhs
 
 
-def _permutations(N: int) -> Iterator[tuple[int, ...]]:
-    import itertools
-
-    return itertools.permutations(range(N))
-
-
 def exhaustive_left_factor_scan(
     partition: Partition, epsilon: Fraction
 ) -> tuple[Fraction, int]:
@@ -205,7 +194,7 @@ def exhaustive_left_factor_scan(
 
     groups: dict[tuple[int, ...], list[Automorphism]] = {}
     labels = partition.labels
-    for fwd in _permutations(N):
+    for fwd in itertools.permutations(range(N)):
         key = [0] * (n * n)
         for x, y in enumerate(fwd):
             key[(labels[x] - 1) * n + (labels[y] - 1)] += 1

@@ -96,9 +96,6 @@ class MarkovMatrix:
     def transpose(self) -> "MarkovMatrix":
         return MarkovMatrix(tuple(zip(*self.entries)))
 
-    def __matmul__(self, other: "MarkovMatrix") -> "MarkovMatrix":
-        return product(self, other)
-
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
 

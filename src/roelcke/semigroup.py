@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 import sympy
 
 from roelcke.markov import MarkovMatrix, product
-from roelcke.space import Automorphism, Partition
+from roelcke.space import AtomSpace, Automorphism, Partition, make_partition
 
 
 def is_idempotent(K: MarkovMatrix) -> bool:
@@ -116,17 +115,6 @@ class IdempotentReport:
     classification: str  # identity | constants_projection | block_average | other
     iterations: int
     sampled_idempotent_powers: tuple[int, ...]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-            "idempotency_defect": self.idempotency_defect,
-            "absorb_left": self.absorb_left,
-            "absorb_right": self.absorb_right,
-            "classification": self.classification,
-            "iterations": self.iterations,
-            "sampled_idempotent_powers": list(self.sampled_idempotent_powers),
-        }
 
 
 def _classify(p: np.ndarray, tol: float) -> str:
@@ -233,8 +221,6 @@ def permutation_period_average(T: Automorphism) -> MarkovMatrix:
             labels[y] = next_label
             y = T.forward[y]
         next_label += 1
-    from roelcke.space import AtomSpace, make_partition
-
     return block_average(make_partition(AtomSpace(N), labels))
 
 

@@ -28,10 +28,6 @@ class AtomSpace:
         if self.atom_count < 1:
             raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
 
-    @property
-    def atom_mass(self) -> Fraction:
-        return Fraction(1, self.atom_count)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -62,10 +58,6 @@ class Partition:
         N = self.space.atom_count
         return tuple(Fraction(s, N) for s in self.cell_sizes)
 
-    def cell_of(self, x: int) -> int:
-        """0-based cell index of atom x."""
-        return self.labels[x] - 1
-
 
 def make_partition(space: AtomSpace, labels: Sequence[int]) -> Partition:
     """Validate a label array and build the partition it describes.
@@ -85,16 +77,6 @@ def make_partition(space: AtomSpace, labels: Sequence[int]) -> Partition:
         if cell not in seen:
             raise ValueError(f"cell {cell} is empty")
     return Partition(space=space, labels=labels, cell_count=n)
-
-
-def trivial_partition(space: AtomSpace) -> Partition:
-    """The one-cell partition."""
-    return make_partition(space, [1] * space.atom_count)
-
-
-def discrete_partition(space: AtomSpace) -> Partition:
-    """The partition into singletons."""
-    return make_partition(space, range(1, space.atom_count + 1))
 
 
 @dataclass(frozen=True)

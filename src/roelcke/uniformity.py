@@ -18,25 +18,14 @@ of automorphisms covering everything in w_distance) completes the module.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from roelcke import density
 from roelcke.markov import CouplingMatrix
 from roelcke.space import Automorphism, Partition, compose, joint_counts
-
-
-@dataclass(frozen=True)
-class EntourageParams:
-    """Indexing data (partition, epsilon) shared by all three families."""
-
-    partition: Partition
-    epsilon: Fraction
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def u_deviation(T: Automorphism, partition: Partition) -> Fraction:
@@ -98,42 +87,36 @@ class NetInfeasibleError(ValueError):
     """Raised when no coupling grid realizable on the atoms exists."""
 
 
+def _grid_rows(total: int, caps: list[int], step: int) -> Iterator[list[int]]:
+    """Rows of nonnegative multiples of `step` summing to `total`, under `caps`."""
+    if len(caps) == 1:
+        if total <= caps[0] and total % step == 0:
+            yield [total]
+        return
+    # Values that leave more than the other caps can hold yield nothing.
+    low = max(0, total - sum(caps[1:]))
+    for v in range(low + -low % step, min(total, caps[0]) + 1, step):
+        for rest in _grid_rows(total - v, caps[1:], step):
+            yield [v, *rest]
+
+
 def _enumerate_grid(
     row_rem: list[int], col_rem: list[int], step: int
-) -> list[list[list[int]]]:
-    """All matrices of nonnegative multiples of `step` with given margins."""
-    n = len(row_rem)
-    out: list[list[list[int]]] = []
-    current: list[list[int]] = []
+) -> Iterator[list[list[int]]]:
+    """Matrices of nonnegative multiples of `step` with given margins, lazily.
 
-    def fill_row(i: int, cols: list[int]) -> None:
-        if i == n:
-            out.append([row[:] for row in current])
+    Rows are enumerated in lexicographic order, first row outermost.
+    """
+
+    def fill(i: int, cols: list[int]) -> Iterator[list[list[int]]]:
+        if i == len(row_rem):
+            yield []
             return
-        target = row_rem[i]
-        row = [0] * n
+        for row in _grid_rows(row_rem[i], cols, step):
+            for rest in fill(i + 1, [c - v for c, v in zip(cols, row)]):
+                yield [row, *rest]
 
-        def fill_cell(j: int, left: int) -> None:
-            if j == n - 1:
-                if left <= cols[j] and left % step == 0:
-                    row[j] = left
-                    current.append(row[:])
-                    saved = cols[:]
-                    for jj in range(n):
-                        cols[jj] -= row[jj]
-                    fill_row(i + 1, cols)
-                    cols[:] = saved
-                    current.pop()
-                return
-            for v in range(0, min(left, cols[j]) + 1, step):
-                row[j] = v
-                fill_cell(j + 1, left - v)
-            row[j] = 0
-
-        fill_cell(0, target)
-
-    fill_row(0, col_rem[:])
-    return out
+    return fill(0, col_rem)
 
 
 def precompactness_net(
@@ -160,15 +143,13 @@ def precompactness_net(
     cap = max(1, math.floor(epsilon * N))
     step = max(d for d in range(1, cap + 1) if g % d == 0)
 
-    grids = _enumerate_grid(sizes, sizes[:], step)
+    grids = list(itertools.islice(_enumerate_grid(sizes, sizes, step), max_size + 1))
     if not grids:
         raise NetInfeasibleError(
             f"no coupling with margins {sizes} on step-{step} grid"
         )
     if len(grids) > max_size:
-        raise NetInfeasibleError(
-            f"grid has {len(grids)} points, above the cap {max_size}"
-        )
+        raise NetInfeasibleError(f"grid has more points than the cap {max_size}")
     masses = partition.masses
     net = []
     for counts in grids:

@@ -42,10 +42,7 @@ class ObservableVector:
     def inner(self, other: "ObservableVector"):
         if self.atom_count != other.atom_count:
             raise ValueError("dimension mismatch")
-        total = sum(a * b for a, b in zip(self.values, other.values))
-        if isinstance(total, Fraction):
-            return total / self.atom_count
-        return total / self.atom_count
+        return sum(a * b for a, b in zip(self.values, other.values)) / self.atom_count
 
     @property
     def norm_sq(self):
@@ -77,10 +74,7 @@ def matrix_coefficient(K: MarkovMatrix, f: ObservableVector, g: ObservableVector
     if f.atom_count != N or g.atom_count != N:
         raise ValueError("dimension mismatch")
     kf = [sum(K.entries[y][x] * f.values[x] for x in range(N)) for y in range(N)]
-    total = sum(a * b for a, b in zip(kf, g.values))
-    if isinstance(total, Fraction):
-        return total / N
-    return total / N
+    return sum(a * b for a, b in zip(kf, g.values)) / N
 
 
 def gram_psd_check(

@@ -1,10 +1,12 @@
 """Experiment runner: determinism, serialization, exit codes."""
 import csv
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from roelcke import cli
 from roelcke.cli import (
     ExperimentConfig,
     export_csv,
@@ -77,6 +79,31 @@ class TestReproducibility:
         assert [x.digest for x in r1.records] != [x.digest for x in r2.records]
 
 
+# sha256 of the seed-0 report with its timestamp removed, for the suites whose
+# reports are exact; the float suites (cesaro, psd, modulus) are left out
+# because numpy/BLAS results may differ between machines.
+PINNED_REPORTS = {
+    ("forward",): "4e5f672daa3d564a47770d3257f19c477db52f4817c4e5a046e7ff9bf582a0f2",
+    ("backward",): "ae12bbbb19c61c7749c05aaea79c2ba8a89213bad22a89d392acbbd3ebf584e8",
+    ("realize",): "9bb084a03291424d967aaeb3ec02a7ca47d2846d997765e0000bf80406d0e61f",
+    ("birkhoff",): "76cb3c86cd256b7e74d5443b830506a074983d17877a1f7d0c3e4f4fed444878",
+    ("dichotomy", "--atoms", "6"):
+        "1087104c47f89b0d6e74354c71b9f586a2ab88c7f12c99559967702cda633850",
+    ("net", "--atoms", "32", "--epsilon", "1/16"):
+        "14ad268969e65afb04c06c69e33d7376e73ebd41aa07e7900150258b9895dfed",
+}
+
+
+@pytest.mark.parametrize("args", PINNED_REPORTS, ids=lambda a: a[0])
+def test_report_bytes_pinned(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["--suite", *args, "--seed", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    report.pop("timestamp")
+    blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_REPORTS[args]
+
+
 class TestExport:
     def test_csv_round_trip(self, tmp_path):
         report = run_suite(config(trials=3))
@@ -142,3 +169,41 @@ class TestMain:
         ])
         assert code == 0
         assert out.read_text().startswith("index,digest,passed")
+
+
+class TestExitCodes:
+    """Exit codes 1 to 3 (0 is TestMain's); none of these may raise."""
+
+    def test_one_on_violation(self, monkeypatch, capsys):
+        def failing(cfg, rng):
+            yield {"trial": 0}, {"value": "1/2"}, False
+
+        monkeypatch.setitem(cli._RUNNERS, "forward", failing)
+        assert main(["--suite", "forward"]) == 1
+        assert "violations=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "forward", "--atoms", "-3", "--cells", "-5"],
+        ["--suite", "forward", "--cells", "0"],
+        ["--suite", "dichotomy"],  # classifies only up to 6 atoms
+    ], ids=["negative-sizes", "zero-cells", "dichotomy-16-atoms"])
+    def test_two_out_of_regime(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_two_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        argv = ["--suite", "realize", "--atoms", "8", "--trials", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out), "--format", "csv"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+    def test_three_net_over_cap(self, capsys):
+        # Four cells of 6 atoms at step 1: 132,724 grid points, above the
+        # default cap of 100,000.
+        argv = ["--suite", "net", "--atoms", "24", "--cells", "4",
+                "--epsilon", "1/24", "--trials", "1"]
+        assert main(argv) == 3
+        assert "cap" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import pytest
 import roelcke as rk
 from roelcke.sampling import random_cell_preserving, random_partition, random_permutation
 from roelcke.space import AtomSpace
-from roelcke.uniformity import EntourageParams, NetInfeasibleError
+from roelcke import uniformity
+from roelcke.uniformity import NetInfeasibleError
 
 
 def halves4():
@@ -118,12 +119,6 @@ class TestRoelckeRelated:
         assert rk.roelcke_related(S, T, P, rk.identity(4), alpha, Fraction(5, 8))
 
 
-class TestEntourageParams:
-    def test_epsilon_positive(self):
-        with pytest.raises(ValueError, match="positive"):
-            EntourageParams(halves4(), Fraction(0))
-
-
 class TestNet:
     def test_trivial_partition(self):
         sp = AtomSpace(6)
@@ -156,3 +151,22 @@ class TestNet:
         alpha = rk.make_partition(AtomSpace(12), [1 + x % 4 for x in range(12)])
         with pytest.raises(NetInfeasibleError, match="cap"):
             rk.precompactness_net(alpha, Fraction(1, 1000), 12, max_size=3)
+
+    def test_cap_checked_before_full_enumeration(self, monkeypatch):
+        # Three cells of 16 atoms at step 1: the full grid has 11,781 points.
+        sizes = [16, 16, 16]
+        assert sum(1 for _ in uniformity._enumerate_grid(sizes, sizes, 1)) == 11781
+        draws = 0
+        enumerate_grid = uniformity._enumerate_grid
+
+        def counting(*args):
+            nonlocal draws
+            for grid in enumerate_grid(*args):
+                draws += 1
+                yield grid
+
+        monkeypatch.setattr(uniformity, "_enumerate_grid", counting)
+        alpha = rk.make_partition(AtomSpace(48), [1 + x % 3 for x in range(48)])
+        with pytest.raises(NetInfeasibleError, match="cap"):
+            rk.precompactness_net(alpha, Fraction(1, 48), 48, max_size=3)
+        assert 0 < draws <= 4
