@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from roelcke.space import Automorphism, Partition, compose
+from roelcke.space import Automorphism, Partition, compose, joint_counts
 from roelcke.uniformity import u_deviation, w_distance
 
 #: Empirical/analytic bound on u_deviation(P)/epsilon for the canonical
@@ -184,21 +184,21 @@ def exhaustive_left_factor_scan(
 
     Exhausts every ordered pair (S, T) with w_distance(S, T) < epsilon/n^2
     for the given partition, runs the canonical construction, and returns
-    (max ratio, number of pairs scanned).  Feasible up to about 6 atoms;
-    pairs are grouped by joint distribution first so only compatible groups
-    are crossed.
+    (max ratio, number of pairs scanned).  Feasible up to 6 atoms, and
+    refused above; pairs are grouped by joint distribution first so only
+    compatible groups are crossed.
     """
     N = partition.space.atom_count
+    if N > 6:
+        raise ValueError("the exhaustive scan is limited to 6 atoms")
     n = partition.cell_count
     required = epsilon / (n * n)
 
     groups: dict[tuple[int, ...], list[Automorphism]] = {}
-    labels = partition.labels
     for fwd in itertools.permutations(range(N)):
-        key = [0] * (n * n)
-        for x, y in enumerate(fwd):
-            key[(labels[x] - 1) * n + (labels[y] - 1)] += 1
-        groups.setdefault(tuple(key), []).append(Automorphism(fwd))
+        T = Automorphism(fwd)
+        key = tuple(c for row in joint_counts(T, partition) for c in row)
+        groups.setdefault(key, []).append(T)
 
     keys = list(groups)
     worst = Fraction(0)

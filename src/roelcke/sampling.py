@@ -12,12 +12,14 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from roelcke.markov import CouplingMatrix, MarkovMatrix, convex_combination
+from roelcke import density
+from roelcke.markov import CouplingMatrix, MarkovMatrix
 from roelcke.space import (
     AtomSpace,
     Automorphism,
     Partition,
     compose,
+    inverse,
     joint_matrix,
     make_partition,
 )
@@ -112,15 +114,16 @@ def random_close_pair(
 
 
 def random_markov(rng: Random, size: int, terms: int = 4) -> MarkovMatrix:
-    """Normalized rational-weight sum of random permutation matrices."""
-    mats = [
-        MarkovMatrix.from_permutation(random_permutation(rng, size).forward)
-        for _ in range(terms)
-    ]
+    """Normalized rational-weight sum of random permutation matrices.
+
+    The matrix of T has its ones at (T(x), x): row y has its one at T^{-1}(y).
+    """
+    perms = [inverse(random_permutation(rng, size)).forward for _ in range(terms)]
     raw = [rng.randrange(1, 100) for _ in range(terms)]
     total = sum(raw)
-    weights = [Fraction(w, total) for w in raw]
-    return convex_combination(weights, mats)
+    weighted = [(Fraction(w, total), p) for w, p in zip(raw, perms)]
+    rows = density.birkhoff_reconstruct(weighted, size)
+    return MarkovMatrix(tuple(tuple(r) for r in rows))
 
 
 def random_realizable_coupling(rng: Random, partition: Partition) -> CouplingMatrix:

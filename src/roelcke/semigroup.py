@@ -279,8 +279,8 @@ def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
     then idempotency, stochasticity and nonnegativity cut the parameters
     down.  The result is exactly {identity, all-1/N} for every N >= 2.
     """
-    if N > 6:
-        raise ValueError("exhaustive/symbolic regime is N <= 6")
+    if not 2 <= N <= 6:
+        raise ValueError("exhaustive/symbolic regime is 2 <= N <= 6")
     orbits = _pair_orbits(N)
     vars_ = sympy.symbols(f"v0:{len(orbits)}", real=True)
     entry = [[None] * N for _ in range(N)]

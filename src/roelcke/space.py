@@ -141,6 +141,8 @@ def koopman_matrix(T: Automorphism) -> markov.MarkovMatrix:
 
 def joint_counts(T: Automorphism, partition: Partition) -> list[list[int]]:
     """Atom counts #{x in A_i : T(x) in A_j}, the unnormalized joint table."""
+    if T.atom_count != partition.space.atom_count:
+        raise ValueError("automorphism and partition live on different spaces")
     n = partition.cell_count
     counts = [[0] * n for _ in range(n)]
     labels = partition.labels
@@ -155,8 +157,6 @@ def joint_matrix(T: Automorphism, partition: Partition) -> markov.CouplingMatrix
     Entry (i, j) is the measure of A_i intersected with T^{-1}A_j, i.e.
     #{x in A_i : T(x) in A_j} / N.  Marginals are the cell masses.
     """
-    if T.atom_count != partition.space.atom_count:
-        raise ValueError("automorphism and partition live on different spaces")
     N = partition.space.atom_count
     counts = joint_counts(T, partition)
     entries = tuple(

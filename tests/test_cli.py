@@ -152,15 +152,6 @@ class TestMain:
     def test_usage_error_on_bad_epsilon(self, capsys):
         assert main(["--suite", "forward", "--epsilon", "0"]) == 2
 
-    def test_env_override(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ROELCKE_SUITE", "dichotomy")
-        monkeypatch.setenv("ROELCKE_ATOMS", "3")
-        monkeypatch.setenv("ROELCKE_TRIALS", "1")
-        out = tmp_path / "r.json"
-        code = main(["--out", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["config"]["suite"] == "dichotomy"
-
     def test_csv_format_flag(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main([
@@ -186,11 +177,25 @@ class TestExitCodes:
         ["--suite", "forward", "--atoms", "-3", "--cells", "-5"],
         ["--suite", "forward", "--cells", "0"],
         ["--suite", "dichotomy"],  # classifies only up to 6 atoms
-    ], ids=["negative-sizes", "zero-cells", "dichotomy-16-atoms"])
+        ["--suite", "dichotomy", "--atoms", "1", "--cells", "1"],  # I = J at N = 1
+        ["--suite", "cesaro", "--tol", "0"],
+        ["--suite", "cesaro", "--tol", "-1"],
+        ["--suite", "cesaro", "--tol", "nan"],
+    ], ids=["negative-sizes", "zero-cells", "dichotomy-16-atoms",
+            "dichotomy-1-atom", "tol-zero", "tol-negative", "tol-nan"])
     def test_two_out_of_regime(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_two_zero_denominator(self, capsys):
+        # Either main returns 2 or argparse exits 2 itself; never a traceback.
+        try:
+            code = main(["--suite", "forward", "--epsilon", "1/0"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_two_unwritable_out(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 import roelcke as rk
+from roelcke import factorization
 from roelcke.factorization import (
     FactorizationPreconditionError,
     budget_identity,
@@ -146,6 +147,16 @@ class TestLeftFactorScan:
         worst, scanned = exhaustive_left_factor_scan(alpha, Fraction(9, 10))
         assert scanned > 0
         assert worst < rk.LEFT_FACTOR_CONSTANT
+
+    def test_cap_checked_before_enumeration(self, monkeypatch):
+        # 8 atoms would mean 40,320 permutations and ~1.6e9 pairs.
+        def refuse(*args):
+            raise AssertionError("permutations enumerated before the cap check")
+
+        monkeypatch.setattr(factorization.itertools, "permutations", refuse)
+        alpha = rk.make_partition(AtomSpace(8), [1 + x % 2 for x in range(8)])
+        with pytest.raises(ValueError, match="6 atoms"):
+            exhaustive_left_factor_scan(alpha, Fraction(1, 2))
 
     def test_equal_couplings_have_zero_left_deviation(self):
         alpha = rk.make_partition(AtomSpace(5), [1, 1, 2, 2, 2])

@@ -57,6 +57,12 @@ class TestWDistance:
         # Distinct automorphisms at distance zero.
         assert rk.w_distance(rk.identity(4), rk.swap(4, 0, 1), halves4()) == 0
 
+    def test_size_mismatch(self):
+        # 4-atom automorphisms against a 6-atom partition: no joint table.
+        alpha = rk.make_partition(AtomSpace(6), [1, 1, 1, 2, 2, 2])
+        with pytest.raises(ValueError, match="different spaces"):
+            rk.w_distance(rk.identity(4), rk.swap(4, 0, 3), alpha)
+
     def test_pseudometric_axioms(self):
         rng = Random(3)
         alpha = random_partition(rng, 8, 3)
