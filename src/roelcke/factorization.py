@@ -8,9 +8,14 @@ the bound.
 Backward direction: given w_distance(S, T) < epsilon/n^2, `factorize`
 builds R and P = T*R^{-1}*S^{-1} with T = P*S*R exactly and both factors of
 small deviation.  The construction intersects the partition with its T- and
-S-preimages, pairs off atoms cell-by-cell (order-preservingly, lowest index
-first, so witnesses are reproducible), and routes the leftover atoms by a
-single order-preserving bijection.
+S-preimages (each map's cell routes: the atoms of A_i sent into A_j), pairs
+off atoms cell-by-cell (order-preservingly, lowest index first, so witnesses
+are reproducible), and routes the leftover atoms by a single
+order-preserving bijection.  `factorize` checks the precondition and hands
+the routes to one private builder, which `exhaustive_left_factor_scan`
+calls too.  R and P are bijections by construction (the pairing and the
+leftover bijection together cover every atom once), so the builder makes
+them without re-validating them.
 
 Exact accounting at finite scale gives u_deviation(R) <= 2*leftover < 2eps
 and the same bound for P: the left factor maps, for each cell pair (i, j),
@@ -25,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from roelcke.space import Automorphism, Partition, compose, joint_counts
+from roelcke.space import Automorphism, Partition, compose
 from roelcke.uniformity import u_deviation, w_distance
 
 #: Empirical/analytic bound on u_deviation(P)/epsilon for the canonical
@@ -95,6 +100,62 @@ def forward_bound_check(
     return distance, distance < 2 * epsilon
 
 
+def _cell_routes(T: Automorphism, partition: Partition) -> list[list[int]]:
+    """T's n^2 cell routes: entry i*n + j lists, ascending, the atoms of A_i
+    sent into A_j.  Their lengths are joint_counts(T) read row by row."""
+    n = partition.cell_count
+    labels = partition.labels
+    routes: list[list[int]] = [[] for _ in range(n * n)]
+    for x, y in enumerate(T.forward):
+        routes[(labels[x] - 1) * n + labels[y] - 1].append(x)
+    return routes
+
+
+def _build_witness(
+    S: Automorphism,
+    T: Automorphism,
+    s_routes: list[list[int]],
+    t_routes: list[list[int]],
+    partition: Partition,
+) -> FactorizationWitness:
+    """The canonical R and P with T = P*S*R, from both maps' cell routes."""
+    N = partition.space.atom_count
+    n = partition.cell_count
+    forward_r = [-1] * N
+    leftover_src: list[int] = []
+    leftover_dst: list[int] = []
+    table: list[tuple[int, int, int, int, int]] = []
+    for k, (src, dst) in enumerate(zip(t_routes, s_routes)):
+        b = min(len(src), len(dst))
+        for x, y in zip(src, dst):  # the first b of each
+            forward_r[x] = y
+        leftover_src.extend(src[b:])
+        leftover_dst.extend(dst[b:])
+        table.append((*divmod(k, n), len(src), len(dst), b))
+
+    leftover_src.sort()
+    leftover_dst.sort()
+    for x, y in zip(leftover_src, leftover_dst):
+        forward_r[x] = y
+
+    R = Automorphism._trusted(tuple(forward_r))
+    # P = T * R^{-1} * S^{-1}: for every x, P sends S(R(x)) to T(x).
+    s, t = S.forward, T.forward
+    forward_p = [-1] * N
+    for x in range(N):
+        forward_p[s[forward_r[x]]] = t[x]
+    P = Automorphism._trusted(tuple(forward_p))
+
+    return FactorizationWitness(
+        R=R,
+        P=P,
+        r_deviation=u_deviation(R, partition),
+        p_deviation=u_deviation(P, partition),
+        leftover_mass=Fraction(len(leftover_src), N),
+        cell_table=tuple(table),
+    )
+
+
 def factorize(
     S: Automorphism,
     T: Automorphism,
@@ -107,57 +168,13 @@ def factorize(
     count.  Guarantees: the product identity holds atom-exactly,
     leftover_mass < epsilon, and u_deviation(R) <= 2*leftover_mass.
     """
-    N = partition.space.atom_count
     n = partition.cell_count
     required = epsilon / (n * n)
     observed = w_distance(S, T, partition)
     if not observed < required:
         raise FactorizationPreconditionError(observed, required)
-
-    labels = partition.labels
-    # a[i][j]: atoms of A_i sent to A_j by T (ascending, by construction);
-    # a_prime[i][j]: same for S.
-    a: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-    a_prime: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-    for x in range(N):
-        i = labels[x] - 1
-        a[i][labels[T.forward[x]] - 1].append(x)
-        a_prime[i][labels[S.forward[x]] - 1].append(x)
-
-    forward_r = [-1] * N
-    leftover_src: list[int] = []
-    leftover_dst: list[int] = []
-    table: list[tuple[int, int, int, int, int]] = []
-    for i in range(n):
-        for j in range(n):
-            src = a[i][j]
-            dst = a_prime[i][j]
-            b = min(len(src), len(dst))
-            for x, y in zip(src[:b], dst[:b]):
-                forward_r[x] = y
-            leftover_src.extend(src[b:])
-            leftover_dst.extend(dst[b:])
-            table.append((i, j, len(src), len(dst), b))
-
-    leftover_src.sort()
-    leftover_dst.sort()
-    for x, y in zip(leftover_src, leftover_dst):
-        forward_r[x] = y
-
-    R = Automorphism(tuple(forward_r))
-    # P = T * R^{-1} * S^{-1}: for every x, P sends S(R(x)) to T(x).
-    forward_p = [-1] * N
-    for x in range(N):
-        forward_p[S.forward[forward_r[x]]] = T.forward[x]
-    P = Automorphism(tuple(forward_p))
-
-    return FactorizationWitness(
-        R=R,
-        P=P,
-        r_deviation=u_deviation(R, partition),
-        p_deviation=u_deviation(P, partition),
-        leftover_mass=Fraction(len(leftover_src), N),
-        cell_table=tuple(table),
+    return _build_witness(
+        S, T, _cell_routes(S, partition), _cell_routes(T, partition), partition
     )
 
 
@@ -185,20 +202,28 @@ def exhaustive_left_factor_scan(
     Exhausts every ordered pair (S, T) with w_distance(S, T) < epsilon/n^2
     for the given partition, runs the canonical construction, and returns
     (max ratio, number of pairs scanned).  Feasible up to 6 atoms, and
-    refused above; pairs are grouped by joint distribution first so only
-    compatible groups are crossed.
+    refused above; epsilon must be positive.
+
+    Each permutation's cell routes are built once, and permutations are
+    grouped by the routes' lengths, which are exactly their joint counts.
+    The largest count gap between two groups is therefore N*w_distance for
+    every pair across them, so one comparison per pair of groups settles
+    the precondition and no pair is measured again.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     N = partition.space.atom_count
     if N > 6:
         raise ValueError("the exhaustive scan is limited to 6 atoms")
     n = partition.cell_count
     required = epsilon / (n * n)
 
-    groups: dict[tuple[int, ...], list[Automorphism]] = {}
+    # Permutations are bijections by construction: no validation needed.
+    groups: dict[tuple[int, ...], list] = {}
     for fwd in itertools.permutations(range(N)):
-        T = Automorphism(fwd)
-        key = tuple(c for row in joint_counts(T, partition) for c in row)
-        groups.setdefault(key, []).append(T)
+        T = Automorphism._trusted(fwd)
+        routes = _cell_routes(T, partition)
+        groups.setdefault(tuple(map(len, routes)), []).append((T, routes))
 
     keys = list(groups)
     worst = Fraction(0)
@@ -208,11 +233,10 @@ def exhaustive_left_factor_scan(
             gap = max(abs(u - v) for u, v in zip(ka, kb))
             if not Fraction(gap, N) < required:
                 continue
-            for S in groups[ka]:
-                for T in groups[kb]:
-                    witness = factorize(S, T, partition, epsilon)
+            for S, s_routes in groups[ka]:
+                for T, t_routes in groups[kb]:
+                    witness = _build_witness(S, T, s_routes, t_routes, partition)
                     scanned += 1
-                    ratio = witness.p_deviation / epsilon
-                    if ratio > worst:
-                        worst = ratio
-    return worst, scanned
+                    if witness.p_deviation > worst:
+                        worst = witness.p_deviation
+    return worst / epsilon, scanned

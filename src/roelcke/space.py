@@ -93,6 +93,13 @@ class Automorphism:
                 raise ValueError(f"forward is not a permutation of 0..{N - 1}")
             seen[y] = True
 
+    @classmethod
+    def _trusted(cls, forward: tuple[int, ...]) -> Automorphism:
+        """Wrap a tuple already known to be a permutation, without validation."""
+        T = object.__new__(cls)
+        object.__setattr__(T, "forward", forward)
+        return T
+
     @property
     def atom_count(self) -> int:
         return len(self.forward)

@@ -1,4 +1,5 @@
 """Both directions of the entourage factorization, with exact accounting."""
+import itertools
 from fractions import Fraction
 from random import Random
 
@@ -17,7 +18,7 @@ from roelcke.sampling import (
     random_permutation,
     random_small_deviation,
 )
-from roelcke.space import AtomSpace
+from roelcke.space import Automorphism, AtomSpace
 
 
 def halves(N):
@@ -103,6 +104,9 @@ class TestFactorize:
             S, T = random_close_pair(rng, alpha, eps)
             w = rk.factorize(S, T, alpha, eps)
             assert rk.compose(w.P, rk.compose(S, w.R)).forward == T.forward
+            # R and P are built unvalidated; they must still be permutations.
+            assert Automorphism(w.R.forward) == w.R
+            assert Automorphism(w.P.forward) == w.P
             assert w.r_deviation <= 2 * w.leftover_mass
             assert w.r_deviation < 2 * eps
             assert w.p_deviation < rk.LEFT_FACTOR_CONSTANT * eps
@@ -157,6 +161,40 @@ class TestLeftFactorScan:
         alpha = rk.make_partition(AtomSpace(8), [1 + x % 2 for x in range(8)])
         with pytest.raises(ValueError, match="6 atoms"):
             exhaustive_left_factor_scan(alpha, Fraction(1, 2))
+
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 2)])
+    def test_epsilon_not_positive_rejected(self, monkeypatch, eps):
+        def refuse(*args):
+            raise AssertionError("permutations enumerated before the check")
+
+        monkeypatch.setattr(factorization.itertools, "permutations", refuse)
+        alpha = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])
+        with pytest.raises(ValueError, match="positive"):
+            exhaustive_left_factor_scan(alpha, eps)
+
+    @pytest.mark.parametrize("labels, eps", [
+        ([1, 1, 2, 2], Fraction(1, 2)),
+        ([1, 1, 2, 2], Fraction(3, 4)),
+        ([1, 1, 2, 2], Fraction(9, 10)),
+        ([1, 1, 1, 2], Fraction(9, 10)),
+        ([1, 1, 2, 2, 2], Fraction(9, 10)),
+        ([1, 2, 2, 2, 2], Fraction(9, 10)),
+    ])
+    def test_matches_pairwise_brute_force(self, labels, eps):
+        # The scan settles the precondition once per pair of joint-count
+        # groups; measuring every ordered pair must agree with it.
+        N = len(labels)
+        alpha = rk.make_partition(AtomSpace(N), labels)
+        required = eps / alpha.cell_count ** 2
+        perms = [Automorphism(f) for f in itertools.permutations(range(N))]
+        worst, scanned = Fraction(0), 0
+        for S in perms:
+            for T in perms:
+                if rk.w_distance(S, T, alpha) < required:
+                    scanned += 1
+                    worst = max(worst, rk.factorize(S, T, alpha, eps).p_deviation / eps)
+        assert scanned > 0
+        assert exhaustive_left_factor_scan(alpha, eps) == (worst, scanned)
 
     def test_equal_couplings_have_zero_left_deviation(self):
         alpha = rk.make_partition(AtomSpace(5), [1, 1, 2, 2, 2])
