@@ -7,11 +7,27 @@ row/column sums; this module does not support that.
 
 Matrices act on column vectors indexed by atoms; entry (y, x) is the weight
 transported from atom x to atom y.
+
+Entries are exact: each is an ``int`` (not a ``bool``) or a ``Fraction``,
+and the constructor rejects anything else, so no float reaches the exact
+arithmetic.  `product` multiplies integers, not fractions: it scales each
+factor to integer numerators over the lcm of its denominators, takes
+integer dot products, and lets ``Fraction`` reduce each result once.  The
+entries it returns equal those of the schoolbook ``Fraction`` product, in
+lowest terms, so equality stays structural.  Python ints cannot overflow,
+whatever the denominators.
+
+Every product, like every other closed operation here, still passes through
+the validating constructor, which costs about as much as a 32x32 integer
+product.  Skipping it needs a trusted constructor and integer storage, and
+those come together (ROADMAP item 2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,11 +71,20 @@ def is_markov(rows: Rows) -> bool:
 
 @dataclass(frozen=True)
 class MarkovMatrix:
-    """An N x N doubly stochastic matrix of exact rationals."""
+    """An N x N doubly stochastic matrix of exact rationals, N >= 1."""
 
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("not a Markov matrix: size 0")
+        for row in self.entries:
+            for v in row:
+                # type(), not isinstance: a bool is an int, but prints as True.
+                if type(v) not in (int, Fraction):
+                    raise ValueError(
+                        f"not a Markov matrix: entry {v!r} is not an int or a Fraction"
+                    )
         check = check_markov(self.entries)
         if not check.ok:
             raise ValueError(f"not a Markov matrix: {check.violation}")
@@ -77,6 +102,8 @@ class MarkovMatrix:
     @classmethod
     def uniform(cls, size: int) -> "MarkovMatrix":
         """The all-1/N matrix: projection onto the constant vectors."""
+        if size < 1:
+            raise ValueError(f"not a Markov matrix: size {size}")
         w = Fraction(1, size)
         return cls(tuple((w,) * size for _ in range(size)))
 
@@ -105,17 +132,31 @@ class MarkovMatrix:
 
 
 def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
-    """Matrix product; Markov matrices are closed under it."""
+    """Matrix product; Markov matrices are closed under it.
+
+    K1's rows become integer numerators over D1, the lcm of K1's
+    denominators, and K2's columns integer numerators over D2.  Entry
+    (y, x) is then one integer dot product over D1 * D2, reduced by
+    ``Fraction``, which equals the schoolbook sum of ``Fraction`` products.
+    The result is still validated by the constructor: the kernel is not
+    trusted to be closed on its own word.
+    """
     if K1.size != K2.size:
         raise ValueError(f"size mismatch: {K1.size} vs {K2.size}")
-    a, b = K1.entries, K2.entries
-    n = K1.size
-    cols = list(zip(*b))
-    rows = tuple(
-        tuple(sum(a[y][k] * cols[x][k] for k in range(n)) for x in range(n))
-        for y in range(n)
+    rows, d1 = _scaled(K1.entries)
+    cols, d2 = _scaled(tuple(zip(*K2.entries)))
+    d = d1 * d2
+    return MarkovMatrix(
+        tuple(
+            tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in rows
+        )
     )
-    return MarkovMatrix(rows)
+
+
+def _scaled(vectors: Rows) -> tuple[list[list[int]], int]:
+    """Integer numerators of `vectors` over the lcm of their denominators."""
+    d = lcm(*(v.denominator for vec in vectors for v in vec))
+    return [[v.numerator * (d // v.denominator) for v in vec] for vec in vectors], d
 
 
 def convex_combination(

@@ -39,6 +39,113 @@ class TestPredicate:
                                     [Fraction(1, 2), Fraction(3, 4)]])
 
 
+class TestInputRegime:
+    """Entries are ints or Fractions, and the size is at least 1."""
+
+    @pytest.mark.parametrize("entries", [
+        ((0.5, 0.5), (0.5, 0.5)),
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), 0.5)),
+        ((True, False), (False, True)),
+    ], ids=["floats", "one-float", "bools"])
+    def test_inexact_entries_rejected(self, entries):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            MarkovMatrix(entries)
+
+    def test_size_zero_rejected(self):
+        with pytest.raises(ValueError, match="size 0"):
+            MarkovMatrix(())
+        with pytest.raises(ValueError, match="size 0"):
+            MarkovMatrix.identity(0)
+
+    def test_uniform_size_zero_rejected(self):
+        with pytest.raises(ValueError, match="size 0"):
+            MarkovMatrix.uniform(0)
+
+    def test_int_entries_accepted_by_product(self):
+        swap = MarkovMatrix(((0, 1), (1, 0)))
+        half = Fraction(1, 2)
+        K = MarkovMatrix(((half, half), (half, half)))
+        assert rk.product(swap, swap).entries == MarkovMatrix.identity(2).entries
+        assert rk.product(swap, K).entries == K.entries
+
+
+def reference_product(K1, K2):
+    """Schoolbook triple loop over Fraction entries, independent of roelcke."""
+    a, b = K1.entries, K2.entries
+    n = len(a)
+    out = []
+    for y in range(n):
+        row = []
+        for x in range(n):
+            total = Fraction(0)
+            for k in range(n):
+                total += Fraction(a[y][k]) * Fraction(b[k][x])
+            row.append(total)
+        out.append(row)
+    return out
+
+
+def assert_matches_reference(K1, K2):
+    got = rk.product(K1, K2).entries
+    want = reference_product(K1, K2)
+    for y, (got_row, want_row) in enumerate(zip(got, want, strict=True)):
+        for x, (g, w) in enumerate(zip(got_row, want_row, strict=True)):
+            assert g == w, (y, x, g, w)
+            assert str(g) == str(w), (y, x, g, w)
+
+
+def random_block_average(rng, N):
+    """Block average of a random partition whose cells have mixed sizes."""
+    labels = [rng.randrange(1, 4) for _ in range(N)]
+    used = sorted(set(labels))
+    labels = [used.index(v) + 1 for v in labels]
+    return rk.block_average(rk.make_partition(AtomSpace(N), labels))
+
+
+class TestProductReference:
+    """`product` equals an independent schoolbook Fraction product."""
+
+    SIZES = (1, 2, 5, 6, 32)
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_random_markov_different_terms(self, N):
+        rng = Random(100 + N)
+        for _ in range(2 if N == 32 else 20):
+            K1 = random_markov(rng, N, terms=rng.randrange(1, 4))
+            K2 = random_markov(rng, N, terms=rng.randrange(4, 7))
+            assert_matches_reference(K1, K2)
+            assert_matches_reference(K2, K1)
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_block_averages(self, N):
+        rng = Random(200 + N)
+        for _ in range(2 if N == 32 else 20):
+            B1, B2 = random_block_average(rng, N), random_block_average(rng, N)
+            assert_matches_reference(B1, B2)
+            assert_matches_reference(B1, random_markov(rng, N))
+
+    @pytest.mark.parametrize("N", SIZES)
+    def test_permutations(self, N):
+        rng = Random(300 + N)
+        for _ in range(2 if N == 32 else 20):
+            a, b = list(range(N)), list(range(N))
+            rng.shuffle(a)
+            rng.shuffle(b)
+            P1 = MarkovMatrix.from_permutation(a)
+            P2 = MarkovMatrix.from_permutation(b)
+            assert_matches_reference(P1, P2)
+            assert_matches_reference(P1, random_markov(rng, N))
+
+    def test_large_coprime_denominators(self):
+        p, q = 1_000_000_007, 998_244_353
+        K1 = MarkovMatrix.from_rows([[Fraction(1, p), Fraction(p - 1, p)],
+                                     [Fraction(p - 1, p), Fraction(1, p)]])
+        K2 = MarkovMatrix.from_rows([[Fraction(2, q), Fraction(q - 2, q)],
+                                     [Fraction(q - 2, q), Fraction(2, q)]])
+        assert_matches_reference(K1, K2)
+        assert rk.product(K1, K2).entries[0][0].denominator == p * q
+
+
 class TestProduct:
     def test_identity_neutral(self):
         K = random_markov(Random(1), 4)
@@ -70,7 +177,11 @@ class TestProduct:
         for _ in range(1000):
             K1 = random_markov(rng, 4, terms=3)
             K2 = random_markov(rng, 4, terms=3)
-            assert rk.is_markov(rk.product(K1, K2).entries)
+            K = rk.product(K1, K2)
+            assert rk.is_markov(K.entries)
+            assert K.entries == tuple(
+                tuple(row) for row in reference_product(K1, K2)
+            )
 
     def test_transpose_stays_markov(self):
         rng = Random(8)
