@@ -15,7 +15,8 @@ factor to integer numerators over the lcm of its denominators, takes
 integer dot products, and lets ``Fraction`` reduce each result once.  The
 entries it returns equal those of the schoolbook ``Fraction`` product, in
 lowest terms, so equality stays structural.  Python ints cannot overflow,
-whatever the denominators.
+whatever the denominators.  The speed rests on each factor's entries
+sharing a small common denominator (see `product`).
 
 Every product, like every other closed operation here, still passes through
 the validating constructor, which costs about as much as a 32x32 integer
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
@@ -34,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from roelcke.space import Partition
 
 Rows = Sequence[Sequence[Fraction]]
+_EXACT = {int, Fraction}
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,12 @@ class MarkovMatrix:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("not a Markov matrix: size 0")
-        for row in self.entries:
-            for v in row:
-                # type(), not isinstance: a bool is an int, but prints as True.
-                if type(v) not in (int, Fraction):
-                    raise ValueError(
-                        f"not a Markov matrix: entry {v!r} is not an int or a Fraction"
-                    )
+        # type(), not isinstance: a bool is an int, but prints as True.
+        if not set(map(type, chain.from_iterable(self.entries))) <= _EXACT:
+            v = next(v for row in self.entries for v in row if type(v) not in _EXACT)
+            raise ValueError(
+                f"not a Markov matrix: entry {v!r} is not an int or a Fraction"
+            )
         check = check_markov(self.entries)
         if not check.ok:
             raise ValueError(f"not a Markov matrix: {check.violation}")
@@ -140,6 +142,12 @@ def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
     ``Fraction``, which equals the schoolbook sum of ``Fraction`` products.
     The result is still validated by the constructor: the kernel is not
     trusted to be closed on its own word.
+
+    The gain assumes each factor's denominators share a small lcm, as they
+    do for block averages (the lcm of the cell sizes) and for
+    `random_markov` (one total per matrix).  Entries over many coprime
+    denominators push D1 towards their product, and the integer kernel can
+    then be slower than the schoolbook one, though its answer stays exact.
     """
     if K1.size != K2.size:
         raise ValueError(f"size mismatch: {K1.size} vs {K2.size}")
