@@ -12,10 +12,15 @@ S-preimages (each map's cell routes: the atoms of A_i sent into A_j), pairs
 off atoms cell-by-cell (order-preservingly, lowest index first, so witnesses
 are reproducible), and routes the leftover atoms by a single
 order-preserving bijection.  `factorize` checks the precondition and hands
-the routes to one private builder, which `exhaustive_left_factor_scan`
-calls too.  R and P are bijections by construction (the pairing and the
-leftover bijection together cover every atom once), so the builder makes
-them without re-validating them.
+the routes to one private builder.  R and P are bijections by construction
+(the pairing and the leftover bijection together cover every atom once), so
+the builder makes them without re-validating them.
+
+P moves no paired atom across cells, so u_deviation(P) depends only on the
+joint counts of S and T and on the target cells of the leftover atoms, in
+atom order (the lemma in `exhaustive_left_factor_scan`).  The scan
+therefore makes one builder call per class of pairs sharing those data,
+not one per pair.
 
 Exact accounting at finite scale gives u_deviation(R) <= 2*leftover < 2eps
 and the same bound for P: the left factor maps, for each cell pair (i, j),
@@ -200,15 +205,27 @@ def exhaustive_left_factor_scan(
     """Max of u_deviation(P)/epsilon over all qualifying automorphism pairs.
 
     Exhausts every ordered pair (S, T) with w_distance(S, T) < epsilon/n^2
-    for the given partition, runs the canonical construction, and returns
-    (max ratio, number of pairs scanned).  Feasible up to 6 atoms, and
-    refused above; epsilon must be positive.
+    for the given partition, measures the canonical construction's left
+    factor, and returns (max ratio, number of pairs scanned).  Feasible up
+    to 6 atoms, and refused above; epsilon must be positive.
 
     Each permutation's cell routes are built once, and permutations are
     grouped by the routes' lengths, which are exactly their joint counts.
     The largest count gap between two groups is therefore N*w_distance for
     every pair across them, so one comparison per pair of groups settles
     the precondition and no pair is measured again.
+
+    Lemma: for a pair (S, T) from groups (ka, kb), u_deviation(P) depends
+    only on the two leftover keys.  Route k = i*n + j pairs off its first
+    b_k = min(ka_k, kb_k) atoms.  A paired atom x has S(R(x)) and T(x) both
+    in A_j, so P = T*R^{-1}*S^{-1} moves no paired atom across cells.  The
+    leftover bijection pairs the sorted T-leftovers with the sorted
+    S-leftovers, so P's cell-to-cell counts, and with them its deviation,
+    are fixed by the target cells j of each map's route tails
+    routes[k][b_k:], read in ascending atom order: that tuple is the map's
+    leftover key.  Every pair across the two groups is counted, but the
+    builder runs once per class, on the first pair with a given (S key,
+    T key).
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -233,10 +250,30 @@ def exhaustive_left_factor_scan(
             gap = max(abs(u - v) for u, v in zip(ka, kb))
             if not Fraction(gap, N) < required:
                 continue
-            for S, s_routes in groups[ka]:
-                for T, t_routes in groups[kb]:
+            scanned += len(groups[ka]) * len(groups[kb])
+            paired = [min(u, v) for u, v in zip(ka, kb)]
+            s_reps = _class_representatives(groups[ka], paired, n)
+            t_reps = _class_representatives(groups[kb], paired, n)
+            for S, s_routes in s_reps:
+                for T, t_routes in t_reps:
                     witness = _build_witness(S, T, s_routes, t_routes, partition)
-                    scanned += 1
                     if witness.p_deviation > worst:
                         worst = witness.p_deviation
     return worst / epsilon, scanned
+
+
+def _class_representatives(group: list, paired: list[int], n: int) -> list:
+    """The first member of `group` for each leftover key.
+
+    A key is the tuple of target cells j of the route tails
+    routes[i*n + j][paired[i*n + j]:], read in ascending atom order.
+    """
+    reps: dict[tuple[int, ...], tuple] = {}
+    for member in group:
+        tails = sorted(
+            (x, k % n)
+            for k, route in enumerate(member[1])
+            for x in route[paired[k]:]
+        )
+        reps.setdefault(tuple(j for _, j in tails), member)
+    return list(reps.values())

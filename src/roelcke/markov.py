@@ -9,14 +9,14 @@ Matrices act on column vectors indexed by atoms; entry (y, x) is the weight
 transported from atom x to atom y.
 
 Entries are exact: each is an ``int`` (not a ``bool``) or a ``Fraction``,
-and the constructor rejects anything else, so no float reaches the exact
-arithmetic.  `product` multiplies integers, not fractions: it scales each
-factor to integer numerators over the lcm of its denominators, takes
-integer dot products, and lets ``Fraction`` reduce each result once.  The
-entries it returns equal those of the schoolbook ``Fraction`` product, in
-lowest terms, so equality stays structural.  Python ints cannot overflow,
-whatever the denominators.  The speed rests on each factor's entries
-sharing a small common denominator (see `product`).
+and both constructors reject anything else (a coupling's marginals too), so
+no float reaches the exact arithmetic.  `product` multiplies integers, not
+fractions: it scales each factor to integer numerators over the lcm of its
+denominators, takes integer dot products, and lets ``Fraction`` reduce each
+result once.  The entries it returns equal those of the schoolbook
+``Fraction`` product, in lowest terms, so equality stays structural.
+Python ints cannot overflow, whatever the denominators.  The speed rests on
+each factor's entries sharing a small common denominator (see `product`).
 
 Every product, like every other closed operation here, still passes through
 the validating constructor, which costs about as much as a 32x32 integer
@@ -37,6 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
+
+
+def _require_exact(rows: Rows, what: str) -> None:
+    """Raise unless every value in rows is exactly an int or a Fraction."""
+    # type(), not isinstance: a bool is an int, but prints as True.
+    if not set(map(type, chain.from_iterable(rows))) <= _EXACT:
+        v = next(v for v in chain.from_iterable(rows) if type(v) not in _EXACT)
+        raise ValueError(f"{what} {v!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -81,12 +89,7 @@ class MarkovMatrix:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("not a Markov matrix: size 0")
-        # type(), not isinstance: a bool is an int, but prints as True.
-        if not set(map(type, chain.from_iterable(self.entries))) <= _EXACT:
-            v = next(v for row in self.entries for v in row if type(v) not in _EXACT)
-            raise ValueError(
-                f"not a Markov matrix: entry {v!r} is not an int or a Fraction"
-            )
+        _require_exact(self.entries, "not a Markov matrix: entry")
         check = check_markov(self.entries)
         if not check.ok:
             raise ValueError(f"not a Markov matrix: {check.violation}")
@@ -199,6 +202,10 @@ class CouplingMatrix:
     col_marginals: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _require_exact(
+            (*self.entries, self.row_marginals, self.col_marginals),
+            "not a coupling matrix: value",
+        )
         n = len(self.entries)
         if len(self.row_marginals) != n or len(self.col_marginals) != n:
             raise ValueError("marginal vectors must match matrix size")

@@ -1,4 +1,5 @@
 """Both directions of the entourage factorization, with exact accounting."""
+import functools
 import itertools
 from fractions import Fraction
 from random import Random
@@ -18,11 +19,70 @@ from roelcke.sampling import (
     random_permutation,
     random_small_deviation,
 )
-from roelcke.space import Automorphism, AtomSpace
+from roelcke.space import Automorphism, AtomSpace, joint_counts
 
 
 def halves(N):
     return rk.make_partition(AtomSpace(N), [1] * (N // 2) + [2] * (N - N // 2))
+
+
+# Exhaustive cases small enough to measure every ordered pair with the public
+# API.  (1, 1, 2, 2, 3) has three cells and a nonzero worst ratio (2/15).
+# With cells of consecutive atoms every group pair is one leftover class;
+# the interleaved cases split group pairs into several (13 classes in 9
+# group pairs, 339 in 87), and in the first of them one witness per group
+# pair would miss the worst ratio (1/5 instead of 2/5).
+_BRUTE_FORCE_CASES = [
+    ((1, 1, 2, 2), Fraction(1, 2)),
+    ((1, 1, 2, 2), Fraction(3, 4)),
+    ((1, 1, 2, 2), Fraction(9, 10)),
+    ((1, 1, 1, 2), Fraction(9, 10)),
+    ((1, 1, 2, 2, 2), Fraction(9, 10)),
+    ((1, 2, 2, 2, 2), Fraction(9, 10)),
+    ((1, 1, 2, 2, 3), Fraction(3)),
+    ((1, 2, 1, 2, 2), Fraction(2)),
+    ((1, 2, 3, 1, 2), Fraction(3)),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _qualifying_pairs(labels, eps):
+    """Every ordered pair (S, T) with w_distance < eps/n^2, each with the
+    p_deviation of factorize's witness."""
+    N = len(labels)
+    alpha = rk.make_partition(AtomSpace(N), labels)
+    required = eps / alpha.cell_count ** 2
+    perms = [Automorphism(f) for f in itertools.permutations(range(N))]
+    pairs = [
+        (S, T, rk.factorize(S, T, alpha, eps).p_deviation)
+        for S in perms
+        for T in perms
+        if rk.w_distance(S, T, alpha) < required
+    ]
+    return alpha, pairs
+
+
+def leftover_key(T, paired, alpha):
+    """Target cells of T's unpaired atoms in ascending atom order: the atoms
+    of A_i sent into A_j beyond the first paired[(i-1)*n + j-1] of them."""
+    n = alpha.cell_count
+    labels = alpha.labels
+    seen = [0] * (n * n)
+    key = []
+    for x, y in enumerate(T.forward):
+        k = (labels[x] - 1) * n + labels[y] - 1
+        seen[k] += 1
+        if seen[k] > paired[k]:
+            key.append(labels[y])
+    return tuple(key)
+
+
+def leftover_class(S, T, alpha):
+    """(group pair, S key, T key): the data the lemma says fix p_deviation."""
+    ka = tuple(itertools.chain.from_iterable(joint_counts(S, alpha)))
+    kb = tuple(itertools.chain.from_iterable(joint_counts(T, alpha)))
+    paired = [min(u, v) for u, v in zip(ka, kb)]
+    return ka, kb, leftover_key(S, paired, alpha), leftover_key(T, paired, alpha)
 
 
 class TestForwardBound:
@@ -153,7 +213,8 @@ class TestLeftFactorScan:
         assert worst < rk.LEFT_FACTOR_CONSTANT
 
     def test_cap_checked_before_enumeration(self, monkeypatch):
-        # 8 atoms would mean 40,320 permutations and ~1.6e9 pairs.
+        # The cap bounds the permutation enumeration: 8 atoms would mean
+        # 40,320 permutations.
         def refuse(*args):
             raise AssertionError("permutations enumerated before the cap check")
 
@@ -172,29 +233,41 @@ class TestLeftFactorScan:
         with pytest.raises(ValueError, match="positive"):
             exhaustive_left_factor_scan(alpha, eps)
 
-    @pytest.mark.parametrize("labels, eps", [
-        ([1, 1, 2, 2], Fraction(1, 2)),
-        ([1, 1, 2, 2], Fraction(3, 4)),
-        ([1, 1, 2, 2], Fraction(9, 10)),
-        ([1, 1, 1, 2], Fraction(9, 10)),
-        ([1, 1, 2, 2, 2], Fraction(9, 10)),
-        ([1, 2, 2, 2, 2], Fraction(9, 10)),
-    ])
+    @pytest.mark.parametrize("labels, eps", _BRUTE_FORCE_CASES)
     def test_matches_pairwise_brute_force(self, labels, eps):
         # The scan settles the precondition once per pair of joint-count
         # groups; measuring every ordered pair must agree with it.
-        N = len(labels)
-        alpha = rk.make_partition(AtomSpace(N), labels)
-        required = eps / alpha.cell_count ** 2
-        perms = [Automorphism(f) for f in itertools.permutations(range(N))]
-        worst, scanned = Fraction(0), 0
-        for S in perms:
-            for T in perms:
-                if rk.w_distance(S, T, alpha) < required:
-                    scanned += 1
-                    worst = max(worst, rk.factorize(S, T, alpha, eps).p_deviation / eps)
-        assert scanned > 0
-        assert exhaustive_left_factor_scan(alpha, eps) == (worst, scanned)
+        alpha, pairs = _qualifying_pairs(labels, eps)
+        assert pairs
+        worst = max(dev for _, _, dev in pairs) / eps
+        assert exhaustive_left_factor_scan(alpha, eps) == (worst, len(pairs))
+
+    @pytest.mark.parametrize("labels, eps", _BRUTE_FORCE_CASES)
+    def test_left_deviation_depends_only_on_leftover_keys(self, labels, eps):
+        # The lemma the scan rests on: pairs from the same pair of joint-count
+        # groups with the same two leftover keys have the same p_deviation.
+        alpha, pairs = _qualifying_pairs(labels, eps)
+        classes: dict[tuple, set] = {}
+        for S, T, dev in pairs:
+            classes.setdefault(leftover_class(S, T, alpha), set()).add(dev)
+        assert len(classes) < len(pairs)  # some class holds several pairs
+        assert all(len(devs) == 1 for devs in classes.values())
+
+    @pytest.mark.parametrize("labels, eps", _BRUTE_FORCE_CASES)
+    def test_builds_one_witness_per_leftover_class(self, monkeypatch, labels, eps):
+        # Every class gets exactly one witness: a coarser key would skip
+        # classes whose deviation may be the worst, a finer one would repeat.
+        alpha, pairs = _qualifying_pairs(labels, eps)
+        built = []
+        build = factorization._build_witness
+
+        def record(S, T, *rest):
+            built.append(leftover_class(S, T, alpha))
+            return build(S, T, *rest)
+
+        monkeypatch.setattr(factorization, "_build_witness", record)
+        exhaustive_left_factor_scan(alpha, eps)
+        assert sorted(built) == sorted({leftover_class(S, T, alpha) for S, T, _ in pairs})
 
     def test_equal_couplings_have_zero_left_deviation(self):
         alpha = rk.make_partition(AtomSpace(5), [1, 1, 2, 2, 2])

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 import roelcke as rk
-from roelcke.markov import MarkovMatrix, check_markov, compress
+from roelcke.markov import CouplingMatrix, MarkovMatrix, check_markov, compress
 from roelcke.sampling import random_markov
 from roelcke.space import AtomSpace
 
@@ -40,7 +40,8 @@ class TestPredicate:
 
 
 class TestInputRegime:
-    """Entries are ints or Fractions, and the size is at least 1."""
+    """Entries (and a coupling's marginals) are ints or Fractions, and the
+    size is at least 1."""
 
     @pytest.mark.parametrize("entries", [
         ((0.5, 0.5), (0.5, 0.5)),
@@ -50,6 +51,16 @@ class TestInputRegime:
     def test_inexact_entries_rejected(self, entries):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             MarkovMatrix(entries)
+
+    @pytest.mark.parametrize("entries, marginals", [
+        (((0.5, 0.0), (0.0, 0.5)), (0.5, 0.5)),
+        (((Fraction(1, 2), 0), (0, Fraction(1, 2))), (0.5, 0.5)),
+        (((True,),), (1,)),
+        (((1,),), (True,)),
+    ], ids=["float-entries", "float-marginals", "bool-entries", "bool-marginals"])
+    def test_coupling_inexact_values_rejected(self, entries, marginals):
+        with pytest.raises(ValueError, match="not an int or a Fraction"):
+            CouplingMatrix(entries, marginals, marginals)
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError, match="size 0"):
