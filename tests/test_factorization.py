@@ -46,7 +46,7 @@ _BRUTE_FORCE_CASES = [
 
 
 @functools.lru_cache(maxsize=None)
-def _qualifying_pairs(labels, eps):
+def qualifying_pairs(labels, eps):
     """Every ordered pair (S, T) with w_distance < eps/n^2, each with the
     p_deviation of factorize's witness."""
     N = len(labels)
@@ -237,7 +237,7 @@ class TestLeftFactorScan:
     def test_matches_pairwise_brute_force(self, labels, eps):
         # The scan settles the precondition once per pair of joint-count
         # groups; measuring every ordered pair must agree with it.
-        alpha, pairs = _qualifying_pairs(labels, eps)
+        alpha, pairs = qualifying_pairs(labels, eps)
         assert pairs
         worst = max(dev for _, _, dev in pairs) / eps
         assert exhaustive_left_factor_scan(alpha, eps) == (worst, len(pairs))
@@ -246,7 +246,7 @@ class TestLeftFactorScan:
     def test_left_deviation_depends_only_on_leftover_keys(self, labels, eps):
         # The lemma the scan rests on: pairs from the same pair of joint-count
         # groups with the same two leftover keys have the same p_deviation.
-        alpha, pairs = _qualifying_pairs(labels, eps)
+        alpha, pairs = qualifying_pairs(labels, eps)
         classes: dict[tuple, set] = {}
         for S, T, dev in pairs:
             classes.setdefault(leftover_class(S, T, alpha), set()).add(dev)
@@ -257,7 +257,7 @@ class TestLeftFactorScan:
     def test_builds_one_witness_per_leftover_class(self, monkeypatch, labels, eps):
         # Every class gets exactly one witness: a coarser key would skip
         # classes whose deviation may be the worst, a finer one would repeat.
-        alpha, pairs = _qualifying_pairs(labels, eps)
+        alpha, pairs = qualifying_pairs(labels, eps)
         built = []
         build = factorization._build_witness
 
