@@ -5,8 +5,8 @@ non-reproducible byte in a report is the isolated top-level "timestamp"
 key.  Rationals are serialized as canonical "p/q" strings, never floats.
 
 Exit codes: 0 no violations, 1 violations observed, 2 usage error (bad
-flags, an input outside a suite's regime, an unwritable --out), 3
-infeasible parameters (e.g. unrealizable net grid).
+flags, --format csv without --out, an input outside a suite's regime, an
+unwritable --out), 3 infeasible parameters (e.g. unrealizable net grid).
 """
 from __future__ import annotations
 
@@ -133,7 +133,7 @@ def _run_backward(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
         S, T = sampling.random_close_pair(rng, alpha, cfg.epsilon)
         witness = factorization.factorize(S, T, alpha, cfg.epsilon)
         exact = compose(witness.P, compose(S, witness.R)).forward == T.forward
-        lhs, rhs = factorization.budget_identity(witness, cfg.atoms)
+        lhs, rhs = factorization.budget_identity(witness)
         passed = (
             exact
             and witness.r_deviation < 2 * cfg.epsilon
@@ -159,7 +159,7 @@ def _run_realize(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     for _ in range(cfg.trials):
         alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
         C = sampling.random_realizable_coupling(rng, alpha)
-        T = density.realize(C, alpha, cfg.atoms)
+        T = density.realize(C, alpha)
         exact = joint_matrix(T, alpha).entries == C.entries
         yield {"labels": alpha.labels, "C": C.to_strings()}, {"exact": exact}, exact
 
@@ -184,7 +184,7 @@ def _run_cesaro(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
         K = sampling.random_markov(rng, cfg.atoms, terms=3)
         key = {"K": K.to_strings()}
         try:
-            report = semigroup.cesaro_idempotent(K, tol=cfg.tol, max_iter=10**5)
+            report = semigroup.cesaro_idempotent(K, tol=cfg.tol)
         except semigroup.CesaroConvergenceError as exc:
             yield key, {"converged": False, "last_defect": exc.last_defect}, False
             continue
@@ -244,7 +244,7 @@ def _run_modulus(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
 
 def _run_net(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
-    net = precompactness_net(alpha, cfg.epsilon, cfg.atoms)
+    net = precompactness_net(alpha, cfg.epsilon)
     for _ in range(cfg.trials):
         T = sampling.random_permutation(rng, cfg.atoms)
         best = min(w_distance(T, c, alpha) for c in net)
@@ -330,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.suite is None:
         parser.print_usage(sys.stderr)
         print("error: --suite is required", file=sys.stderr)
+        return 2
+    if args.format == "csv" and not args.out:
+        print("error: --format csv needs --out", file=sys.stderr)
         return 2
     try:
         config = ExperimentConfig(

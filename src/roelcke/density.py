@@ -20,17 +20,18 @@ class RealizationError(ValueError):
     """Raised when a coupling cannot be realized on the atom grid."""
 
 
-def realize(C: CouplingMatrix, partition: Partition, atom_count: int) -> Automorphism:
+#: Float slack in `round_to_grid`'s input entries (n times it in a sum).
+GRID_TOLERANCE = 1e-9
+
+
+def realize(C: CouplingMatrix, partition: Partition) -> Automorphism:
     """Build a permutation whose joint distribution equals C exactly.
 
-    Requires every entry of C to be a multiple of 1/N and the marginals of C
-    to equal the cell masses.  For each (i, j) in row-major order, the next
-    N*C[i][j] unassigned atoms of A_i are sent, order-preservingly, to the
-    next unassigned atoms of A_j.
+    N is the partition's atom count.  Requires every entry of C to be a
+    multiple of 1/N and the marginals of C to equal the cell masses; C's
+    counts N*C[i][j] are then filled in by `_realize_counts`.
     """
-    N = atom_count
-    if partition.space.atom_count != N:
-        raise RealizationError("partition size does not match atom count")
+    N = partition.space.atom_count
     n = partition.cell_count
     if C.size != n:
         raise RealizationError("coupling size does not match cell count")
@@ -49,11 +50,20 @@ def realize(C: CouplingMatrix, partition: Partition, atom_count: int) -> Automor
                     f"entry ({i}, {j}) = {C.entries[i][j]} is not a multiple of 1/{N}"
                 )
             counts[i][j] = int(scaled)
+    return _realize_counts(counts, partition)
 
+
+def _realize_counts(counts: list[list[int]], partition: Partition) -> Automorphism:
+    """The permutation with joint count table `counts` (margins |A_i|).
+
+    For each (i, j) in row-major order, the next counts[i][j] unassigned
+    atoms of A_i go, order-preservingly, to the next unassigned atoms of A_j.
+    """
+    n = partition.cell_count
     cells = partition.cells
     src_pos = [0] * n  # next unassigned source atom within each cell
     dst_pos = [0] * n  # next unassigned target atom within each cell
-    forward = [-1] * N
+    forward = [-1] * partition.space.atom_count
     for i in range(n):
         for j in range(n):
             k = counts[i][j]
@@ -71,14 +81,15 @@ def round_to_grid(
     N: int,
     row_marginals: Sequence[Fraction],
     col_marginals: Sequence[Fraction],
-    tolerance: float = 1e-9,
 ) -> CouplingMatrix:
     """Round a real coupling onto the (1/N)-grid, keeping marginals exact.
 
-    Largest-remainder apportionment per row (so row sums come out exact),
-    then column repair by moving single units between rows.  Max-entry error
-    is at most n/N; entry accuracy is sacrificed, never the marginals,
-    because realization requires them exact.
+    D may miss nonnegativity and its marginals by `GRID_TOLERANCE`.
+    Largest-remainder apportionment per row makes the row sums exact; column
+    repair then moves one unit at a time from the first surplus to the first
+    deficit column, out of the lowest row that has one.  Max-entry error is
+    at most n/N; entry accuracy is sacrificed, never the marginals, because
+    realization requires them exact.
     """
     n = len(D)
     for i, m in enumerate(row_marginals):
@@ -88,15 +99,15 @@ def round_to_grid(
         if (m * N).denominator != 1:
             raise RealizationError(f"column marginal {j} not a multiple of 1/{N}")
     for i, row in enumerate(D):
-        if any(v < -tolerance for v in row):
+        if any(v < -GRID_TOLERANCE for v in row):
             raise RealizationError(f"negative entry in row {i}")
-        if abs(sum(row) - float(row_marginals[i])) > tolerance * n:
+        if abs(sum(row) - float(row_marginals[i])) > GRID_TOLERANCE * n:
             raise RealizationError(
                 f"row {i} sums to {sum(row)}, expected {float(row_marginals[i])}"
             )
     for j in range(n):
         s = sum(D[i][j] for i in range(n))
-        if abs(s - float(col_marginals[j])) > tolerance * n:
+        if abs(s - float(col_marginals[j])) > GRID_TOLERANCE * n:
             raise RealizationError(
                 f"column {j} sums to {s}, expected {float(col_marginals[j])}"
             )
@@ -125,36 +136,23 @@ def round_to_grid(
                 floors[j] += 1
         units[i] = floors
 
-    # Column repair: move single units from surplus columns to deficit ones.
-    col_target = [int(col_marginals[j] * N) for j in range(n)]
-    for _ in range(n * N):
-        surplus = [
-            j for j in range(n) if sum(units[i][j] for i in range(n)) > col_target[j]
-        ]
-        deficit = [
-            j for j in range(n) if sum(units[i][j] for i in range(n)) < col_target[j]
-        ]
-        if not surplus and not deficit:
+    # Column repair.  A surplus column sums to more than its target, so it
+    # has a positive entry; each move cuts the total imbalance by 2.
+    col_target = [int(m * N) for m in col_marginals]
+    while True:
+        excess = [sum(col) - t for col, t in zip(zip(*units), col_target)]
+        surplus = [j for j, e in enumerate(excess) if e > 0]
+        deficit = [j for j, e in enumerate(excess) if e < 0]
+        if not (surplus and deficit):
             break
-        moved = False
-        for js in surplus:
-            for jd in deficit:
-                for i in range(n):
-                    if units[i][js] > 0:
-                        units[i][js] -= 1
-                        units[i][jd] += 1
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                break
-        if not moved:
-            raise RealizationError(
-                f"column repair stuck: surplus {surplus}, deficit {deficit}"
-            )
-    else:
-        raise RealizationError("column repair did not terminate")
+        js, jd = surplus[0], deficit[0]
+        i = next(i for i in range(n) if units[i][js] > 0)
+        units[i][js] -= 1
+        units[i][jd] += 1
+    if surplus or deficit:
+        raise RealizationError(
+            f"column repair stuck: surplus {surplus}, deficit {deficit}"
+        )
 
     entries = tuple(
         tuple(Fraction(units[i][j], N) for j in range(n)) for i in range(n)

@@ -183,16 +183,17 @@ def factorize(
     )
 
 
-def budget_identity(witness: FactorizationWitness, atom_count: int) -> tuple[Fraction, Fraction]:
+def budget_identity(witness: FactorizationWitness) -> tuple[Fraction, Fraction]:
     """Both sides of the leftover identity, for exact comparison.
 
     Left: total leftover mass.  Right: sum over cell pairs of
-    max(0, mu(A_ij) - mu(A'_ij)).  Equality follows from the
-    min-cardinality pairing and is asserted in the suite.
+    max(0, mu(A_ij) - mu(A'_ij)), with masses over the witness's N atoms.
+    Equality follows from the min-cardinality pairing and is asserted in
+    the suite.
     """
     lhs = witness.leftover_mass
     rhs = sum(
-        (Fraction(max(0, a_count - ap_count), atom_count)
+        (Fraction(max(0, a_count - ap_count), witness.R.atom_count)
          for _, _, a_count, ap_count, _ in witness.cell_table),
         Fraction(0),
     )

@@ -57,23 +57,33 @@ class MarkovCheck:
 
 def check_markov(rows: Rows) -> MarkovCheck:
     """Exact test for nonnegativity and unit row and column sums."""
+    ones = (1,) * len(rows)
+    violation = _sums_violation(rows, ones, ones)
+    return MarkovCheck(violation is None, violation)
+
+
+def _sums_violation(
+    rows: Rows, row_sums: Sequence[Fraction], col_sums: Sequence[Fraction]
+) -> str | None:
+    """The first way rows fails to be square and nonnegative with the given
+    row and column sums, or None."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
-            return MarkovCheck(False, "matrix is not square")
+            return "matrix is not square"
     for y, row in enumerate(rows):
         for x, v in enumerate(row):
             if v < 0:
-                return MarkovCheck(False, f"negative entry at ({y}, {x}): {v}")
+                return f"negative entry at ({y}, {x}): {v}"
     for y, row in enumerate(rows):
         s = sum(row)
-        if s != 1:
-            return MarkovCheck(False, f"row {y} sums to {s}")
+        if s != row_sums[y]:
+            return f"row {y} sums to {s}, expected {row_sums[y]}"
     for x in range(n):
         s = sum(rows[y][x] for y in range(n))
-        if s != 1:
-            return MarkovCheck(False, f"column {x} sums to {s}")
-    return MarkovCheck(True)
+        if s != col_sums[x]:
+            return f"column {x} sums to {s}, expected {col_sums[x]}"
+    return None
 
 
 def is_markov(rows: Rows) -> bool:
@@ -130,10 +140,6 @@ class MarkovMatrix:
 
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
-
-    @classmethod
-    def from_strings(cls, rows: Sequence[Sequence[str]]) -> "MarkovMatrix":
-        return cls.from_rows([[Fraction(s) for s in row] for row in rows])
 
 
 def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
@@ -211,21 +217,11 @@ class CouplingMatrix:
             raise ValueError("marginal vectors must match matrix size")
         if sum(self.row_marginals) != 1 or sum(self.col_marginals) != 1:
             raise ValueError("marginals must sum to 1")
-        for i, row in enumerate(self.entries):
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-            if any(v < 0 for v in row):
-                raise ValueError(f"negative entry in row {i}")
-            if sum(row) != self.row_marginals[i]:
-                raise ValueError(
-                    f"row {i} sums to {sum(row)}, expected {self.row_marginals[i]}"
-                )
-        for j in range(n):
-            s = sum(self.entries[i][j] for i in range(n))
-            if s != self.col_marginals[j]:
-                raise ValueError(
-                    f"column {j} sums to {s}, expected {self.col_marginals[j]}"
-                )
+        violation = _sums_violation(
+            self.entries, self.row_marginals, self.col_marginals
+        )
+        if violation:
+            raise ValueError(f"not a coupling matrix: {violation}")
 
     @property
     def size(self) -> int:

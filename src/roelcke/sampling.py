@@ -35,8 +35,10 @@ def random_permutation(rng: Random, atom_count: int) -> Automorphism:
 
 def random_partition(rng: Random, atom_count: int, cell_count: int) -> Partition:
     """Uniformly shuffled labels with every cell guaranteed nonempty."""
-    if cell_count > atom_count:
-        raise ValueError("more cells than atoms")
+    if not 1 <= cell_count <= atom_count:
+        raise ValueError(
+            f"need 1 <= cell_count <= atom_count, got {cell_count} and {atom_count}"
+        )
     labels = [1 + (x % cell_count) for x in range(atom_count)]
     rng.shuffle(labels)
     return make_partition(AtomSpace(atom_count), labels)
@@ -59,8 +61,11 @@ def random_small_deviation(
     """A random automorphism with u_deviation strictly below epsilon.
 
     Starts cell-preserving, then applies cross-cell transpositions while a
-    per-cell budget keeps the deviation strictly under epsilon.
+    per-cell budget keeps the deviation strictly under epsilon, which must
+    be positive.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     N = partition.space.atom_count
     n = partition.cell_count
     T = random_cell_preserving(rng, partition)
@@ -102,8 +107,11 @@ def random_close_pair(
     """A pair (S, T) with w_distance strictly below epsilon / n^2.
 
     T is produced from S by small-deviation outer factors at half the
-    target tolerance, which forces the coupling distance under it.
+    target tolerance, which forces the coupling distance under it.  Epsilon
+    must be positive.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     n = partition.cell_count
     half = epsilon / (2 * n * n)
     S = random_permutation(rng, partition.space.atom_count)
@@ -132,11 +140,8 @@ def random_realizable_coupling(rng: Random, partition: Partition) -> CouplingMat
     return joint_matrix(T, partition)
 
 
-def random_observable(rng: Random, atom_count: int, scale: int = 8) -> ObservableVector:
-    """Rational-valued observable with entries k/scale, k in [-scale, scale]."""
+def random_observable(rng: Random, atom_count: int) -> ObservableVector:
+    """Rational-valued observable with entries k/8, k in [-8, 8]."""
     return ObservableVector(
-        tuple(
-            Fraction(rng.randrange(-scale, scale + 1), scale)
-            for _ in range(atom_count)
-        )
+        tuple(Fraction(rng.randrange(-8, 9), 8) for _ in range(atom_count))
     )

@@ -146,23 +146,22 @@ def _classify(p: np.ndarray, tol: float) -> str:
     return "block_average"
 
 
-def cesaro_idempotent(
-    K: MarkovMatrix | np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 10**5,
-) -> IdempotentReport:
+#: Longest power of K that `cesaro_idempotent` averages before giving up.
+CESARO_MAX_POWERS = 10**5
+
+
+def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
     """Least idempotent of the closed subsemigroup generated by K.
 
-    Averages consecutive powers over doubling windows until two successive
-    window averages agree to tol and the limit candidate is idempotent and
-    absorbing to tol.  Records which sampled power indices were themselves
-    near-idempotent; the detected limit must sit below all of them in the
-    idempotent order (checked by the caller / the suite).
+    Averages consecutive powers, in floating point, over doubling windows
+    until two successive window averages agree to tol and the limit
+    candidate is idempotent and absorbing to tol.  Raises
+    `CesaroConvergenceError` once the next window would pass power
+    `CESARO_MAX_POWERS`.  Records which sampled power indices were
+    themselves near-idempotent; the detected limit must sit below all of
+    them in the idempotent order (checked by the caller / the suite).
     """
-    if isinstance(K, MarkovMatrix):
-        A = np.array([[float(v) for v in row] for row in K.entries])
-    else:
-        A = np.asarray(K, dtype=float)
+    A = np.array([[float(v) for v in row] for row in K.entries])
 
     power = A.copy()  # K^k
     cum = A.copy()  # sum of K^1..K^k
@@ -172,7 +171,7 @@ def cesaro_idempotent(
     prev_window = None
     sampled: list[int] = []
     last_defect = float("inf")
-    while 2 * m <= max_iter:
+    while 2 * m <= CESARO_MAX_POWERS:
         while k < 2 * m:
             power = power @ A
             cum = cum + power

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Iterator
 
 from roelcke import density
-from roelcke.markov import CouplingMatrix
 from roelcke.space import Automorphism, Partition, compose, joint_counts
 
 
@@ -119,46 +118,34 @@ def _enumerate_grid(
     return fill(0, col_rem)
 
 
-def precompactness_net(
-    partition: Partition,
-    epsilon: Fraction,
-    atom_count: int,
-    max_size: int = 100_000,
-) -> list[Automorphism]:
+#: Most grid points `precompactness_net` enumerates; one more is an error.
+NET_GRID_CAP = 100_000
+
+
+def precompactness_net(partition: Partition, epsilon: Fraction) -> list[Automorphism]:
     """A finite net of automorphisms covering the whole group in w_distance.
 
-    Enumerates couplings on a coarse sub-grid of the transportation polytope
-    (step chosen as the largest divisor of all cell sizes not exceeding
-    epsilon*N, in atoms) and realizes each grid point exactly.  With two
-    cells the grid provably covers every automorphism strictly within
-    epsilon; for finer partitions coverage is checked, not guaranteed.
+    Enumerates joint count tables (margins the cell sizes) on a coarse
+    sub-grid, step the largest divisor of all cell sizes not exceeding
+    epsilon*N atoms, and realizes each exactly; more than `NET_GRID_CAP`
+    tables is an error.  With two cells the grid provably covers every
+    automorphism strictly within epsilon; for finer partitions coverage is
+    checked, not guaranteed.
     """
-    N = atom_count
-    if partition.space.atom_count != N:
-        raise NetInfeasibleError("partition size does not match atom count")
     sizes = list(partition.cell_sizes)
     g = 0
     for s in sizes:
         g = math.gcd(g, s)
-    cap = max(1, math.floor(epsilon * N))
+    cap = max(1, math.floor(epsilon * partition.space.atom_count))
     step = max(d for d in range(1, cap + 1) if g % d == 0)
 
-    grids = list(itertools.islice(_enumerate_grid(sizes, sizes, step), max_size + 1))
+    grids = list(
+        itertools.islice(_enumerate_grid(sizes, sizes, step), NET_GRID_CAP + 1)
+    )
     if not grids:
         raise NetInfeasibleError(
             f"no coupling with margins {sizes} on step-{step} grid"
         )
-    if len(grids) > max_size:
-        raise NetInfeasibleError(f"grid has more points than the cap {max_size}")
-    masses = partition.masses
-    net = []
-    for counts in grids:
-        C = CouplingMatrix(
-            entries=tuple(
-                tuple(Fraction(c, N) for c in row) for row in counts
-            ),
-            row_marginals=masses,
-            col_marginals=masses,
-        )
-        net.append(density.realize(C, partition, N))
-    return net
+    if len(grids) > NET_GRID_CAP:
+        raise NetInfeasibleError(f"grid has more points than the cap {NET_GRID_CAP}")
+    return [density._realize_counts(counts, partition) for counts in grids]

@@ -181,8 +181,10 @@ class TestExitCodes:
         ["--suite", "cesaro", "--tol", "0"],
         ["--suite", "cesaro", "--tol", "-1"],
         ["--suite", "cesaro", "--tol", "nan"],
+        ["--suite", "realize", "--format", "csv"],  # csv is written only to --out
     ], ids=["negative-sizes", "zero-cells", "dichotomy-16-atoms",
-            "dichotomy-1-atom", "tol-zero", "tol-negative", "tol-nan"])
+            "dichotomy-1-atom", "tol-zero", "tol-negative", "tol-nan",
+            "csv-without-out"])
     def test_two_out_of_regime(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()

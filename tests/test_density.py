@@ -23,19 +23,33 @@ def coupling(rows, masses):
     )
 
 
+def blended_coupling(rng, N, n):
+    """A random real coupling with exact cell-mass marginals: two realizable
+    ones blended with an irrational-ish weight.  Returns (D, masses)."""
+    alpha = random_partition(rng, N, n)
+    A = random_realizable_coupling(rng, alpha)
+    B = random_realizable_coupling(rng, alpha)
+    t = rng.random()
+    D = [
+        [t * float(a) + (1 - t) * float(b) for a, b in zip(ra, rb)]
+        for ra, rb in zip(A.entries, B.entries)
+    ]
+    return D, alpha.masses
+
+
 class TestRealize:
     def test_diagonal_gives_identity(self):
         alpha = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])
         h = Fraction(1, 2)
         C = coupling([[h, 0], [0, h]], [h, h])
-        T = rk.realize(C, alpha, 4)
+        T = rk.realize(C, alpha)
         assert T.forward == rk.identity(4).forward
 
     def test_uniform_cross(self):
         alpha = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])
         q = Fraction(1, 4)
         C = coupling([[q, q], [q, q]], [Fraction(1, 2)] * 2)
-        T = rk.realize(C, alpha, 4)
+        T = rk.realize(C, alpha)
         assert rk.joint_matrix(T, alpha).entries == C.entries
 
     def test_random_sweep_exact(self):
@@ -45,7 +59,7 @@ class TestRealize:
             n = rng.randrange(2, 5)
             alpha = random_partition(rng, N, n)
             C = random_realizable_coupling(rng, alpha)
-            T = rk.realize(C, alpha, N)
+            T = rk.realize(C, alpha)
             assert rk.joint_matrix(T, alpha).entries == C.entries
 
     def test_off_grid_rejected(self):
@@ -54,14 +68,14 @@ class TestRealize:
         C = coupling([[third, Fraction(2, 6)], [Fraction(2, 6), third]],
                      [Fraction(1, 2)] * 2)
         with pytest.raises(RealizationError, match="multiple"):
-            rk.realize(C, alpha, 4)
+            rk.realize(C, alpha)
 
     def test_marginal_mismatch_rejected(self):
         alpha = rk.make_partition(AtomSpace(4), [1, 1, 1, 2])
         h = Fraction(1, 2)
         C = coupling([[h, 0], [0, h]], [h, h])
         with pytest.raises(RealizationError, match="marginals"):
-            rk.realize(C, alpha, 4)
+            rk.realize(C, alpha)
 
 
 class TestRoundToGrid:
@@ -88,22 +102,27 @@ class TestRoundToGrid:
         rng = Random(2)
         N, n = 1024, 3
         for _ in range(50):
-            alpha = random_partition(rng, N, n)
-            # Random real coupling with the right marginals: blend two
-            # realizable ones with an irrational-ish weight.
-            A = random_realizable_coupling(rng, alpha)
-            B = random_realizable_coupling(rng, alpha)
-            t = rng.random()
-            D = [
-                [t * float(a) + (1 - t) * float(b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(A.entries, B.entries)
-            ]
-            C = round_to_grid(D, N, alpha.masses, alpha.masses)
+            D, masses = blended_coupling(rng, N, n)
+            C = round_to_grid(D, N, masses, masses)
             err = max(
                 abs(float(C.entries[i][j]) - D[i][j])
                 for i in range(n) for j in range(n)
             )
             assert err <= n / N + 1e-9
+
+    @pytest.mark.parametrize("seed, N, n, expected", [
+        (0, 12, 3, [["1/12", "1/12", "1/6"], ["1/6", "1/12", "1/12"],
+                    ["1/12", "1/6", "1/12"]]),
+        (1, 16, 4, [["0", "1/16", "1/8", "1/16"], ["1/16", "1/16", "1/16", "1/16"],
+                    ["1/8", "1/16", "0", "1/16"], ["1/16", "1/16", "1/16", "1/16"]]),
+        (3, 30, 3, [["2/15", "2/15", "1/15"], ["1/10", "1/10", "2/15"],
+                    ["1/10", "1/10", "2/15"]]),
+    ])
+    def test_column_repair_pinned(self, seed, N, n, expected):
+        # In each of these inputs the per-row apportionment misses a column
+        # target, so the entries depend on which units the repair moves.
+        D, masses = blended_coupling(Random(seed), N, n)
+        assert round_to_grid(D, N, masses, masses).to_strings() == expected
 
     def test_negative_rejected(self):
         masses = (Fraction(1, 2), Fraction(1, 2))
@@ -157,7 +176,7 @@ class TestDensityExperiment:
                 for i in range(n)
             ]
             C = round_to_grid(target, N, alpha.masses, alpha.masses)
-            T = rk.realize(C, alpha, N)
+            T = rk.realize(C, alpha)
             J = rk.joint_matrix(T, alpha)
             err = max(
                 abs(float(J.entries[i][j]) - target[i][j])

@@ -170,7 +170,7 @@ class TestFactorize:
             assert w.r_deviation <= 2 * w.leftover_mass
             assert w.r_deviation < 2 * eps
             assert w.p_deviation < rk.LEFT_FACTOR_CONSTANT * eps
-            lhs, rhs = budget_identity(w, N)
+            lhs, rhs = budget_identity(w)
             assert lhs == rhs
             assert lhs < eps
 

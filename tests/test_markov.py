@@ -248,7 +248,7 @@ class TestCompress:
 class TestSerialization:
     def test_round_trip(self):
         K = random_markov(Random(77), 5)
-        assert MarkovMatrix.from_strings(K.to_strings()).entries == K.entries
+        assert MarkovMatrix.from_rows(K.to_strings()).entries == K.entries
 
     def test_strings_are_lowest_terms(self):
         K = MarkovMatrix.from_rows([[Fraction(2, 4), Fraction(1, 2)],

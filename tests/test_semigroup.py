@@ -8,6 +8,7 @@ import pytest
 import roelcke as rk
 from roelcke.sampling import random_markov, random_permutation
 from roelcke.semigroup import (
+    CESARO_MAX_POWERS,
     CesaroConvergenceError,
     order_check_float,
     permutation_period_average,
@@ -126,12 +127,12 @@ class TestCesaro:
                 assert order_check_float(rep.matrix, q, 1e-6).below
 
     def test_nonconvergent_raises(self):
-        # A 3-cycle never converges with an odd-versus-even window phase?
-        # It does converge (windows align with the period); use a tiny
-        # max_iter instead to exercise the failure path.
+        # No float window average agrees with the next to 1e-30, so the
+        # full power budget runs out.
         K = random_markov(Random(4), 6, terms=3)
-        with pytest.raises(CesaroConvergenceError):
-            rk.cesaro_idempotent(K, tol=1e-30, max_iter=8)
+        with pytest.raises(CesaroConvergenceError) as info:
+            rk.cesaro_idempotent(K, tol=1e-30)
+        assert CESARO_MAX_POWERS // 2 < info.value.iterations <= CESARO_MAX_POWERS
 
     def test_permutation_period_average_exact(self):
         rng = Random(5)

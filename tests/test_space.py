@@ -89,6 +89,15 @@ class TestGroup:
         with pytest.raises(ValueError):
             rk.compose(rk.identity(3), rk.identity(4))
 
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+    def test_swap_out_of_range_rejected(self, a, b):
+        # A negative index would wrap round to the last atom.
+        with pytest.raises(ValueError, match="not both in 0..3"):
+            rk.swap(4, a, b)
+
+    def test_swap_of_an_atom_with_itself(self):
+        assert rk.swap(4, 3, 3).forward == rk.identity(4).forward
+
     @given(st.data())
     def test_associativity(self, data):
         a = data.draw(permutations(6))

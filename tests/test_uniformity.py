@@ -129,13 +129,13 @@ class TestNet:
     def test_trivial_partition(self):
         sp = AtomSpace(6)
         alpha = rk.make_partition(sp, [1] * 6)
-        net = rk.precompactness_net(alpha, Fraction(1, 4), 6)
+        net = rk.precompactness_net(alpha, Fraction(1, 4))
         assert len(net) == 1
         assert net[0].forward == rk.identity(6).forward
 
     def test_two_cells_eight_atoms(self):
         alpha = rk.make_partition(AtomSpace(8), [1, 1, 1, 1, 2, 2, 2, 2])
-        net = rk.precompactness_net(alpha, Fraction(1, 4), 8)
+        net = rk.precompactness_net(alpha, Fraction(1, 4))
         assert len(net) <= 5
         # The single off-diagonal parameter runs over {0, 1/8, ..., 1/2};
         # every realizable value must be within 1/4 of some center.
@@ -146,17 +146,14 @@ class TestNet:
 
     def test_thirtytwo_atoms_nine_centers(self):
         alpha = rk.make_partition(AtomSpace(32), [1] * 16 + [2] * 16)
-        net = rk.precompactness_net(alpha, Fraction(1, 16), 32)
+        net = rk.precompactness_net(alpha, Fraction(1, 16))
         assert len(net) <= 9
 
-    def test_size_mismatch(self):
-        with pytest.raises(NetInfeasibleError):
-            rk.precompactness_net(halves4(), Fraction(1, 4), 8)
-
-    def test_oversized_grid_rejected(self):
+    def test_oversized_grid_rejected(self, monkeypatch):
+        monkeypatch.setattr(uniformity, "NET_GRID_CAP", 3)
         alpha = rk.make_partition(AtomSpace(12), [1 + x % 4 for x in range(12)])
         with pytest.raises(NetInfeasibleError, match="cap"):
-            rk.precompactness_net(alpha, Fraction(1, 1000), 12, max_size=3)
+            rk.precompactness_net(alpha, Fraction(1, 1000))
 
     def test_cap_checked_before_full_enumeration(self, monkeypatch):
         # Three cells of 16 atoms at step 1: the full grid has 11,781 points.
@@ -172,7 +169,8 @@ class TestNet:
                 yield grid
 
         monkeypatch.setattr(uniformity, "_enumerate_grid", counting)
+        monkeypatch.setattr(uniformity, "NET_GRID_CAP", 3)
         alpha = rk.make_partition(AtomSpace(48), [1 + x % 3 for x in range(48)])
         with pytest.raises(NetInfeasibleError, match="cap"):
-            rk.precompactness_net(alpha, Fraction(1, 48), 48, max_size=3)
+            rk.precompactness_net(alpha, Fraction(1, 48))
         assert 0 < draws <= 4
