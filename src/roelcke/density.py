@@ -91,6 +91,8 @@ def round_to_grid(
     at most n/N; entry accuracy is sacrificed, never the marginals, because
     realization requires them exact.
     """
+    if N < 1:
+        raise RealizationError(f"N must be >= 1, got {N}")
     n = len(D)
     for i, m in enumerate(row_marginals):
         if (m * N).denominator != 1:

@@ -210,23 +210,25 @@ def exhaustive_left_factor_scan(
     factor, and returns (max ratio, number of pairs scanned).  Feasible up
     to 6 atoms, and refused above; epsilon must be positive.
 
-    Each permutation's cell routes are built once, and permutations are
-    grouped by the routes' lengths, which are exactly their joint counts.
-    The largest count gap between two groups is therefore N*w_distance for
-    every pair across them, so one comparison per pair of groups settles
-    the precondition and no pair is measured again.
+    One walk over each permutation's atoms gives its joint counts and its
+    signature: for each atom x, ascending, the route index k = i*n + j of
+    (A_i containing x, A_j containing T(x)) and x's rank r among the
+    earlier atoms of route k.  Permutations are grouped by joint counts,
+    so the largest count gap between two groups is N*w_distance for every
+    pair across them, and one comparison per pair of groups settles the
+    precondition.
 
     Lemma: for a pair (S, T) from groups (ka, kb), u_deviation(P) depends
-    only on the two leftover keys.  Route k = i*n + j pairs off its first
-    b_k = min(ka_k, kb_k) atoms.  A paired atom x has S(R(x)) and T(x) both
-    in A_j, so P = T*R^{-1}*S^{-1} moves no paired atom across cells.  The
-    leftover bijection pairs the sorted T-leftovers with the sorted
-    S-leftovers, so P's cell-to-cell counts, and with them its deviation,
-    are fixed by the target cells j of each map's route tails
-    routes[k][b_k:], read in ascending atom order: that tuple is the map's
-    leftover key.  Every pair across the two groups is counted, but the
-    builder runs once per class, on the first pair with a given (S key,
-    T key).
+    only on the two leftover keys.  Route k pairs off its atoms of rank
+    below b_k = min(ka_k, kb_k).  A paired atom x has S(R(x)) and T(x)
+    both in A_j, so P = T*R^{-1}*S^{-1} moves no paired atom across cells.
+    The leftover bijection pairs the sorted T-leftovers (rank >= b_k) with
+    the sorted S-leftovers, so P's cell-to-cell counts, and with them its
+    deviation, are fixed by the target cells j of each map's leftover
+    atoms, in ascending atom order: that tuple is the map's leftover key.
+    Every pair across the two groups is counted, but the builder runs once
+    per class, on the first pair with a given (S key, T key); routes are
+    built only for those representatives, since nothing else reads them.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -236,12 +238,18 @@ def exhaustive_left_factor_scan(
     n = partition.cell_count
     required = epsilon / (n * n)
 
-    # Permutations are bijections by construction: no validation needed.
+    # An atom x sent to y lies on route row[x] + col[y] = i*n + j.
+    row = [(lab - 1) * n for lab in partition.labels]
+    col = [lab - 1 for lab in partition.labels]
     groups: dict[tuple[int, ...], list] = {}
     for fwd in itertools.permutations(range(N)):
-        T = Automorphism._trusted(fwd)
-        routes = _cell_routes(T, partition)
-        groups.setdefault(tuple(map(len, routes)), []).append((T, routes))
+        counts = [0] * (n * n)
+        signature = []
+        for x, y in enumerate(fwd):
+            k = row[x] + col[y]
+            signature.append((k, counts[k]))
+            counts[k] += 1
+        groups.setdefault(tuple(counts), []).append((fwd, signature))
 
     keys = list(groups)
     worst = Fraction(0)
@@ -253,8 +261,8 @@ def exhaustive_left_factor_scan(
                 continue
             scanned += len(groups[ka]) * len(groups[kb])
             paired = [min(u, v) for u, v in zip(ka, kb)]
-            s_reps = _class_representatives(groups[ka], paired, n)
-            t_reps = _class_representatives(groups[kb], paired, n)
+            s_reps = _class_representatives(groups[ka], paired, partition)
+            t_reps = _class_representatives(groups[kb], paired, partition)
             for S, s_routes in s_reps:
                 for T, t_routes in t_reps:
                     witness = _build_witness(S, T, s_routes, t_routes, partition)
@@ -263,18 +271,20 @@ def exhaustive_left_factor_scan(
     return worst / epsilon, scanned
 
 
-def _class_representatives(group: list, paired: list[int], n: int) -> list:
-    """The first member of `group` for each leftover key.
+def _class_representatives(
+    group: list, paired: list[int], partition: Partition
+) -> list[tuple[Automorphism, list[list[int]]]]:
+    """The first member of `group` for each leftover key, with its routes.
 
-    A key is the tuple of target cells j of the route tails
-    routes[i*n + j][paired[i*n + j]:], read in ascending atom order.
+    A member is a permutation and its signature of (route index k, rank r)
+    per atom.  An atom is a leftover exactly when r >= paired[k], so the
+    key, the leftovers' target cells j = k % n, is read off the signature.
+    Only representatives reach the builder, so only they get routes.
     """
-    reps: dict[tuple[int, ...], tuple] = {}
-    for member in group:
-        tails = sorted(
-            (x, k % n)
-            for k, route in enumerate(member[1])
-            for x in route[paired[k]:]
-        )
-        reps.setdefault(tuple(j for _, j in tails), member)
-    return list(reps.values())
+    n = partition.cell_count
+    reps: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for fwd, signature in group:
+        reps.setdefault(tuple([k % n for k, r in signature if r >= paired[k]]), fwd)
+    # Permutations are bijections by construction: no validation needed.
+    trusted = map(Automorphism._trusted, reps.values())
+    return [(T, _cell_routes(T, partition)) for T in trusted]

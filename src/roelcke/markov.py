@@ -126,6 +126,8 @@ class MarkovMatrix:
     def from_permutation(cls, forward: Sequence[int]) -> "MarkovMatrix":
         """Permutation matrix U with U e_x = e_{forward[x]}."""
         size = len(forward)
+        if sorted(forward) != list(range(size)):
+            raise ValueError(f"forward is not a permutation of 0..{size - 1}")
         rows = [[Fraction(0)] * size for _ in range(size)]
         for x, y in enumerate(forward):
             rows[y][x] = Fraction(1)

@@ -160,7 +160,10 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
     `CESARO_MAX_POWERS`.  Records which sampled power indices were
     themselves near-idempotent; the detected limit must sit below all of
     them in the idempotent order (checked by the caller / the suite).
+    tol must be positive and finite.
     """
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     A = np.array([[float(v) for v in row] for row in K.entries])
 
     power = A.copy()  # K^k

@@ -130,8 +130,10 @@ def precompactness_net(partition: Partition, epsilon: Fraction) -> list[Automorp
     epsilon*N atoms, and realizes each exactly; more than `NET_GRID_CAP`
     tables is an error.  With two cells the grid provably covers every
     automorphism strictly within epsilon; for finer partitions coverage is
-    checked, not guaranteed.
+    checked, not guaranteed.  epsilon must be positive.
     """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     sizes = list(partition.cell_sizes)
     g = 0
     for s in sizes:

@@ -124,6 +124,12 @@ class TestRoundToGrid:
         D, masses = blended_coupling(Random(seed), N, n)
         assert round_to_grid(D, N, masses, masses).to_strings() == expected
 
+    @pytest.mark.parametrize("N", [0, -2])
+    def test_atom_count_below_one_rejected(self, N):
+        masses = (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(RealizationError, match="N must be >= 1"):
+            round_to_grid([[0.5, 0.0], [0.0, 0.5]], N, masses, masses)
+
     def test_negative_rejected(self):
         masses = (Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(RealizationError, match="negative"):

@@ -45,6 +45,20 @@ _BRUTE_FORCE_CASES = [
 ]
 
 
+# The criterion-2 cases with the scan's (worst, scanned) and its number of
+# witness builds.  The N = 6 cases are past the brute-force ones above.
+_CRITERION_2_CASES = [
+    ((1, 1, 2, 2), Fraction(1, 2), (Fraction(0), 288), 3),
+    ((1, 1, 2, 2), Fraction(3, 4), (Fraction(0), 288), 3),
+    ((1, 1, 2, 2), Fraction(9, 10), (Fraction(0), 288), 3),
+    ((1, 1, 1, 2), Fraction(9, 10), (Fraction(0), 360), 2),
+    ((1, 1, 2, 2, 2), Fraction(9, 10), (Fraction(4, 9), 13536), 7),
+    ((1, 2, 2, 2, 2), Fraction(9, 10), (Fraction(4, 9), 14400), 4),
+    ((1, 1, 1, 2, 2, 2), Fraction(3, 4), (Fraction(4, 9), 469152), 10),
+    ((1, 1, 2, 2, 2, 2), Fraction(3, 4), (Fraction(4, 9), 490752), 7),
+]
+
+
 @functools.lru_cache(maxsize=None)
 def qualifying_pairs(labels, eps):
     """Every ordered pair (S, T) with w_distance < eps/n^2, each with the
@@ -268,6 +282,23 @@ class TestLeftFactorScan:
         monkeypatch.setattr(factorization, "_build_witness", record)
         exhaustive_left_factor_scan(alpha, eps)
         assert sorted(built) == sorted({leftover_class(S, T, alpha) for S, T, _ in pairs})
+
+    @pytest.mark.parametrize("labels, eps, result, builds", _CRITERION_2_CASES)
+    def test_criterion_2_results_and_builds_pinned(
+        self, monkeypatch, labels, eps, result, builds
+    ):
+        built = 0
+        build = factorization._build_witness
+
+        def count(*args):
+            nonlocal built
+            built += 1
+            return build(*args)
+
+        monkeypatch.setattr(factorization, "_build_witness", count)
+        alpha = rk.make_partition(AtomSpace(len(labels)), labels)
+        assert exhaustive_left_factor_scan(alpha, eps) == result
+        assert built == builds
 
     def test_equal_couplings_have_zero_left_deviation(self):
         alpha = rk.make_partition(AtomSpace(5), [1, 1, 2, 2, 2])

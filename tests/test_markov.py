@@ -72,6 +72,11 @@ class TestInputRegime:
         with pytest.raises(ValueError, match="size 0"):
             MarkovMatrix.uniform(0)
 
+    @pytest.mark.parametrize("forward", [[-1, 0], [5], [0, 0], [1, 2]])
+    def test_from_permutation_rejects_non_permutations(self, forward):
+        with pytest.raises(ValueError, match="not a permutation"):
+            MarkovMatrix.from_permutation(forward)
+
     def test_int_entries_accepted_by_product(self):
         swap = MarkovMatrix(((0, 1), (1, 0)))
         half = Fraction(1, 2)

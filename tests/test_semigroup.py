@@ -134,6 +134,13 @@ class TestCesaro:
             rk.cesaro_idempotent(K, tol=1e-30)
         assert CESARO_MAX_POWERS // 2 < info.value.iterations <= CESARO_MAX_POWERS
 
+    @pytest.mark.parametrize("tol", [0, -1e-8, float("inf"), float("nan")])
+    def test_tol_outside_regime_rejected(self, tol):
+        # tol = 0 used to run the whole power budget on the identity, whose
+        # defect is exactly 0, and blame slow mixing.
+        with pytest.raises(ValueError, match="positive and finite"):
+            rk.cesaro_idempotent(rk.MarkovMatrix.identity(2), tol=tol)
+
     def test_permutation_period_average_exact(self):
         rng = Random(5)
         for _ in range(10):

@@ -149,6 +149,16 @@ class TestNet:
         net = rk.precompactness_net(alpha, Fraction(1, 16))
         assert len(net) <= 9
 
+    @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1)])
+    def test_epsilon_not_positive_rejected(self, monkeypatch, eps):
+        def refuse(*args):
+            raise AssertionError("grid enumerated before the check")
+
+        monkeypatch.setattr(uniformity, "_enumerate_grid", refuse)
+        alpha = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])
+        with pytest.raises(ValueError, match="positive"):
+            rk.precompactness_net(alpha, eps)
+
     def test_oversized_grid_rejected(self, monkeypatch):
         monkeypatch.setattr(uniformity, "NET_GRID_CAP", 3)
         alpha = rk.make_partition(AtomSpace(12), [1 + x % 4 for x in range(12)])
