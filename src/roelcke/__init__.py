@@ -53,6 +53,7 @@ from roelcke.semigroup import (
     IdempotentReport,
     block_average,
     cesaro_idempotent,
+    cesaro_limit_exact,
     conjugate,
     invariant_idempotent_classify,
     is_idempotent,
@@ -75,6 +76,7 @@ __all__ = [
     "birkhoff",
     "block_average",
     "cesaro_idempotent",
+    "cesaro_limit_exact",
     "check_markov",
     "compose",
     "compress",

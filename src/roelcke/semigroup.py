@@ -10,8 +10,10 @@ every size is exactly {identity, projection onto constants}.
 Averaging runs in floating point with a stopping rule based on successive
 window averages; the window average of powers K^{m+1}..K^{2m} converges
 geometrically whenever K has a spectral gap and terminates exactly for
-periodic K at window lengths divisible by the period.  Permutation matrices
-also get an exact rational route through the period average.
+periodic K once the window length, a power of 2, is divisible by the
+period; other periods run out the power budget.  The exact limit, for
+every doubly stochastic K and any period, is the block average over the
+classes of supp K; the float limit is named by comparing it with that.
 """
 from __future__ import annotations
 
@@ -117,33 +119,33 @@ class IdempotentReport:
     sampled_idempotent_powers: tuple[int, ...]
 
 
-def _classify(p: np.ndarray, tol: float) -> str:
-    N = p.shape[0]
-    if np.max(np.abs(p - np.eye(N))) < tol:
-        return "identity"
-    if np.max(np.abs(p - 1.0 / N)) < tol:
-        return "constants_projection"
-    # Block-average pattern: rows of equal atoms are identical, entries are
-    # 0 or 1/(block size), blocks consistent.
-    labels = [-1] * N
-    next_label = 0
-    for y in range(N):
-        if labels[y] != -1:
-            continue
-        members = [x for x in range(N) if p[y, x] > tol]
-        if not members:
-            return "other"
-        size = len(members)
-        for x in members:
-            if abs(p[y, x] - 1.0 / size) > tol or labels[x] != -1:
-                return "other"
-            labels[x] = next_label
-        for a in members:
-            for b in members:
-                if abs(p[a, b] - 1.0 / size) > tol:
-                    return "other"
-        next_label += 1
-    return "block_average"
+def _support_labels(K: MarkovMatrix) -> list[int]:
+    """Labels 1..c of the connected components of supp K: x ~ y when K[y][x] != 0."""
+    N = K.size
+    labels = [0] * N
+    for root in range(N):
+        if not labels[root]:
+            labels[root] = max(labels) + 1
+            stack = [root]
+            while stack:
+                y = stack.pop()
+                for x in range(N):
+                    if not labels[x] and (K.entries[y][x] or K.entries[x][y]):
+                        labels[x] = labels[root]
+                        stack.append(x)
+    return labels
+
+
+def cesaro_limit_exact(K: MarkovMatrix) -> MarkovMatrix:
+    """Exact limit of the averaged powers (K + ... + K^m) / m, for any period.
+
+    It is the block average over the classes of supp K, since on each class
+    the averages tend to the uniform distribution there.  Those classes are
+    its connected components: the uniform distribution is stationary for a
+    doubly stochastic K, so no atom is transient, every communicating class
+    is closed, and x reaches y exactly when y reaches x.
+    """
+    return block_average(make_partition(AtomSpace(K.size), _support_labels(K)))
 
 
 #: Longest power of K that `cesaro_idempotent` averages before giving up.
@@ -161,6 +163,11 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
     themselves near-idempotent; the detected limit must sit below all of
     them in the idempotent order (checked by the caller / the suite).
     tol must be positive and finite.
+
+    The classification names `cesaro_limit_exact(K)` by the classes of supp
+    K: `identity` (all singletons), `constants_projection` (one class) or
+    `block_average`; it is `other` when the window is max(tol, 1e-6) or
+    more from that exact limit in some entry.
     """
     if not 0 < tol < float("inf"):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -189,12 +196,23 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
             right = float(np.max(np.abs(A @ window - window)))
             last_defect = defect
             if drift < tol and defect < tol and left < tol and right < tol:
+                labels = np.array(_support_labels(K))
+                same = labels[:, None] == labels
+                exact = same / same.sum(axis=1, keepdims=True)
+                if float(np.max(np.abs(window - exact))) >= max(tol, 1e-6):
+                    classification = "other"
+                elif labels.max() == len(labels):
+                    classification = "identity"
+                elif labels.max() == 1:
+                    classification = "constants_projection"
+                else:
+                    classification = "block_average"
                 return IdempotentReport(
                     matrix=window,
                     idempotency_defect=defect,
                     absorb_left=left,
                     absorb_right=right,
-                    classification=_classify(window, max(tol, 1e-6)),
+                    classification=classification,
                     iterations=k,
                     sampled_idempotent_powers=tuple(sampled),
                 )
@@ -202,28 +220,6 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
         cum_at_m = cum.copy()
         m *= 2
     raise CesaroConvergenceError(last_defect, k)
-
-
-def permutation_period_average(T: Automorphism) -> MarkovMatrix:
-    """Exact rational idempotent limit for a permutation matrix.
-
-    The powers are periodic with period the permutation order, so one
-    period average is the exact limit: the block average over the orbit
-    partition of T.
-    """
-    N = T.atom_count
-    # Orbit partition of T.
-    labels = [0] * N
-    next_label = 1
-    for x in range(N):
-        if labels[x]:
-            continue
-        y = x
-        while not labels[y]:
-            labels[y] = next_label
-            y = T.forward[y]
-        next_label += 1
-    return block_average(make_partition(AtomSpace(N), labels))
 
 
 def conjugate(K: MarkovMatrix, g: Automorphism) -> MarkovMatrix:

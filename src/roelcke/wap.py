@@ -22,7 +22,7 @@ from roelcke.space import Automorphism, compose, inverse
 #: Spectral slack for the positive-semidefiniteness certificate.
 PSD_TOLERANCE = 1e-9
 
-#: Slack for the uniform-continuity modulus inequality in float mode.
+#: Slack for the uniform-continuity modulus inequality, checked in floats.
 MODULUS_TOLERANCE = 1e-12
 
 
@@ -34,6 +34,10 @@ class ObservableVector:
     """
 
     values: tuple
+
+    def __post_init__(self):
+        if not self.values:
+            raise ValueError("an observable needs at least one atom")
 
     @property
     def atom_count(self) -> int:
@@ -47,10 +51,6 @@ class ObservableVector:
     @property
     def norm_sq(self):
         return self.inner(self)
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(float(self.norm_sq))
 
     def translate(self, g: Automorphism) -> "ObservableVector":
         """The composition with g^{-1}: value at g(x) is the value at x."""

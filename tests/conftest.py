@@ -1,6 +1,9 @@
 """Shared test plumbing: surface acceptance criterion results in the summary."""
 
 ACCEPTANCE_LINES = []
+# Counters that show a criterion reached its regime, printed after the
+# acceptance lines so those stay byte-identical.
+REGIME_LINES = []
 # Acceptance test name -> wall seconds of its call phase, in run order.
 CRITERION_SECONDS = {}
 
@@ -13,7 +16,7 @@ def pytest_runtest_logreport(report):
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_LINES:
+        for line in ACCEPTANCE_LINES + REGIME_LINES:
             terminalreporter.write_line(line)
         for name, seconds in CRITERION_SECONDS.items():
             terminalreporter.write_line(f"wall time {name}: {seconds:.1f} s")

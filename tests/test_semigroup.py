@@ -1,4 +1,6 @@
 """Idempotents, their order, averaged-power limits, and conjugation."""
+import math
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -6,12 +8,16 @@ import numpy as np
 import pytest
 
 import roelcke as rk
-from roelcke.sampling import random_markov, random_permutation
+from roelcke.sampling import (
+    random_cell_preserving,
+    random_markov,
+    random_partition,
+    random_permutation,
+)
 from roelcke.semigroup import (
     CESARO_MAX_POWERS,
     CesaroConvergenceError,
     order_check_float,
-    permutation_period_average,
 )
 from roelcke.space import AtomSpace
 
@@ -145,11 +151,60 @@ class TestCesaro:
         rng = Random(5)
         for _ in range(10):
             T = random_permutation(rng, 7)
-            p = permutation_period_average(T)
-            assert rk.is_idempotent(p)
             U = rk.koopman_matrix(T)
+            p = rk.cesaro_limit_exact(U)
+            assert rk.is_idempotent(p)
             assert rk.product(p, U).entries == p.entries
             assert rk.product(U, p).entries == p.entries
+
+    def test_classification_names_the_exact_limit(self):
+        # Reducible K hide a partition: convex combinations of permutations
+        # that preserve its cells.  Periodic permutation matrices converge
+        # only when their period is a power of 2; for the others the float
+        # windows never settle, and the exact limit is the only answer.
+        rng = Random(12)
+        inputs = []
+        for t in range(30):
+            N = 6 + t % 6
+            hidden = random_partition(rng, N, 1 + t % 4)
+            perms = [random_cell_preserving(rng, hidden) for _ in range(3)]
+            weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]
+            inputs.append(rk.convex_combination(
+                weights, [rk.koopman_matrix(T) for T in perms]))
+        for cycles in [(1, 1, 1), (2, 2, 1), (4,), (4, 2, 2), (3,), (2, 3), (5, 1)]:
+            forward, start = [], 0
+            for length in cycles:
+                forward += [start + (i + 1) % length for i in range(length)]
+                start += length
+            K = rk.MarkovMatrix.from_permutation(forward)
+            # The powers repeat with the period, so one period's average is
+            # the limit.
+            period = math.lcm(*cycles)
+            powers = [K]
+            while len(powers) < period:
+                powers.append(rk.product(powers[-1], K))
+            average = rk.convex_combination([Fraction(1, period)] * period, powers)
+            assert rk.cesaro_limit_exact(K).entries == average.entries
+            inputs.append(K)
+        counts = Counter()
+        for K in inputs:
+            p = rk.cesaro_limit_exact(K)
+            try:
+                rep = rk.cesaro_idempotent(K)
+            except CesaroConvergenceError:
+                assert rk.is_idempotent(p)
+                assert rk.product(p, K).entries == p.entries
+                assert rk.product(K, p).entries == p.entries
+                counts["diverged"] += 1
+                continue
+            expected = np.array([[float(v) for v in row] for row in p.entries])
+            assert np.max(np.abs(rep.matrix - expected)) < 1e-6
+            counts[rep.classification] += 1
+        assert counts["other"] == 0
+        assert counts["identity"] > 0
+        assert counts["block_average"] > 0
+        assert counts["constants_projection"] > 0
+        assert counts["diverged"] == 3
 
 
 class TestClassify:

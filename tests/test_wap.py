@@ -9,6 +9,13 @@ from roelcke.sampling import random_markov, random_observable, random_permutatio
 from roelcke.wap import ObservableVector
 
 
+class TestObservable:
+    def test_no_atoms_rejected(self):
+        # Without the check, `inner` divides by the zero atom count.
+        with pytest.raises(ValueError, match="at least one atom"):
+            ObservableVector(())
+
+
 class TestMatrixCoefficient:
     def test_identity_gives_norm_squared(self):
         f = ObservableVector((Fraction(1), Fraction(2), Fraction(-1)))
