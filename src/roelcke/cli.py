@@ -200,7 +200,8 @@ def _run_cesaro(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
             },
             report.idempotency_defect < cfg.tol
             and report.absorb_left < cfg.tol
-            and report.absorb_right < cfg.tol,
+            and report.absorb_right < cfg.tol
+            and report.classification != "other",
         )
 
 

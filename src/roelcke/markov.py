@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from operator import mul
@@ -142,6 +143,13 @@ class MarkovMatrix:
 
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]
+
+    @cached_property
+    def _idempotent(self) -> bool:
+        """Exact K*K = K, proven once per object: the entries never change.
+        The verdict lives in the instance ``__dict__``, which the frozen
+        dataclass leaves writable; it is no field, so ``==`` ignores it."""
+        return product(self, self).entries == self.entries
 
 
 def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:

@@ -28,8 +28,13 @@ from roelcke.space import AtomSpace, Automorphism, Partition, make_partition
 
 
 def is_idempotent(K: MarkovMatrix) -> bool:
-    """Exact test K*K = K."""
-    return product(K, K).entries == K.entries
+    """Exact test K*K = K.
+
+    The proof is kept on the matrix object, so each object is multiplied
+    by itself once however often it is asked; an equal but distinct object
+    is proven afresh.
+    """
+    return K._idempotent
 
 
 def idempotency_defect(A: np.ndarray) -> float:
@@ -102,7 +107,8 @@ class CesaroConvergenceError(RuntimeError):
         self.iterations = iterations
         super().__init__(
             f"no convergence after {iterations} powers "
-            f"(last defect {last_defect:.3e}); slow mixing, not wrongness"
+            f"(last defect {last_defect:.3e}): K mixes slowly or has a period "
+            "that is not a power of 2; cesaro_limit_exact gives the exact limit"
         )
 
 

@@ -4,9 +4,10 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from roelcke import cli
+from roelcke import cli, semigroup
 from roelcke.cli import (
     ExperimentConfig,
     export_csv,
@@ -65,6 +66,19 @@ class TestSuites:
     def test_cesaro_suite(self):
         report = run_suite(config(suite="cesaro", atoms=6, trials=2, tol=1e-8))
         assert report.violations == 0
+
+    def test_cesaro_fails_a_limit_classified_other(self, monkeypatch):
+        # A converged window that misses the exact limit is a violation,
+        # however small its defect and absorption errors.
+        def missed(K, tol):
+            return semigroup.IdempotentReport(
+                matrix=np.eye(K.size), idempotency_defect=0.0, absorb_left=0.0,
+                absorb_right=0.0, classification="other", iterations=2,
+                sampled_idempotent_powers=())
+
+        monkeypatch.setattr(semigroup, "cesaro_idempotent", missed)
+        report = run_suite(config(suite="cesaro", atoms=6, trials=2, tol=1e-8))
+        assert [r.passed for r in report.records] == [False, False]
 
 
 class TestReproducibility:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import roelcke as rk
+from roelcke import markov, semigroup
 from roelcke.sampling import (
     random_cell_preserving,
     random_markov,
@@ -89,6 +90,39 @@ class TestOrder:
         with pytest.raises(ValueError, match="idempotent"):
             rk.order_check(random_markov(Random(2), 3), rk.MarkovMatrix.identity(3))
 
+    def test_idempotency_proven_once_per_object(self, monkeypatch):
+        calls = []
+        original = markov.product
+
+        def counting(K1, K2):
+            calls.append((K1, K2))
+            return original(K1, K2)
+
+        monkeypatch.setattr(markov, "product", counting)
+        monkeypatch.setattr(semigroup, "product", counting)
+        space = AtomSpace(4)
+        p = rk.block_average(rk.make_partition(space, [1, 1, 2, 2]))
+        q = rk.block_average(rk.make_partition(space, [1, 2, 3, 3]))
+        assert rk.order_check(p, q).below and rk.order_check(p, q).below
+        # Two proofs, then two absorption products per call.
+        assert len(calls) == 6
+        assert [c for c in calls if c[0] is c[1]] == [(p, p), (q, q)]
+
+        calls.clear()
+        twins = [rk.block_average(rk.make_partition(space, [1, 2, 2, 1]))
+                 for _ in range(2)]
+        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        for K in twins + twins:
+            assert rk.is_idempotent(K)
+        assert len(calls) == 2
+        assert calls[0][0] is twins[0] and calls[1][0] is twins[1]
+
+    def test_rejects_non_idempotent_every_call(self):
+        K = random_markov(Random(2), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="first argument"):
+                rk.order_check(K, rk.MarkovMatrix.identity(3))
+
     def test_equivalence_exhaustive_small(self):
         # One-sided absorption is two-sided for block averages; N = 4.
         blocks = [
@@ -139,6 +173,20 @@ class TestCesaro:
         with pytest.raises(CesaroConvergenceError) as info:
             rk.cesaro_idempotent(K, tol=1e-30)
         assert CESARO_MAX_POWERS // 2 < info.value.iterations <= CESARO_MAX_POWERS
+
+    def test_nonconvergent_message_names_the_period(self):
+        # A 3-cycle does not mix slowly: its windows, of power-of-2 length,
+        # never cover a whole number of periods.
+        K = rk.MarkovMatrix.from_permutation([1, 2, 0])
+        with pytest.raises(CesaroConvergenceError) as info:
+            rk.cesaro_idempotent(K)
+        message = str(info.value)
+        assert "period that is not a power of 2" in message
+        assert "cesaro_limit_exact" in message
+        assert "wrongness" not in message
+        assert CESARO_MAX_POWERS // 2 < info.value.iterations <= CESARO_MAX_POWERS
+        assert info.value.last_defect > 1e-8
+        assert rk.cesaro_limit_exact(K).entries == rk.MarkovMatrix.uniform(3).entries
 
     @pytest.mark.parametrize("tol", [0, -1e-8, float("inf"), float("nan")])
     def test_tol_outside_regime_rejected(self, tol):
