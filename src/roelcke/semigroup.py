@@ -28,12 +28,8 @@ from roelcke.space import AtomSpace, Automorphism, Partition, make_partition
 
 
 def is_idempotent(K: MarkovMatrix) -> bool:
-    """Exact test K*K = K.
-
-    The proof is kept on the matrix object, so each object is multiplied
-    by itself once however often it is asked; an equal but distinct object
-    is proven afresh.
-    """
+    """Exact test K*K = K, proven once per matrix object and kept on it;
+    an equal but distinct object is proven afresh."""
     return K._idempotent
 
 
