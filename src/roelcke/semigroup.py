@@ -46,16 +46,15 @@ def block_average(partition: Partition) -> MarkovMatrix:
     constant vectors.
     """
     N = partition.space.atom_count
-    sizes = partition.cell_sizes
     labels = partition.labels
-    rows = [
-        tuple(
-            Fraction(1, sizes[labels[y] - 1]) if labels[y] == labels[x] else Fraction(0)
-            for x in range(N)
-        )
-        for y in range(N)
-    ]
-    return MarkovMatrix(tuple(rows))
+    zero = Fraction(0)
+    # One row per cell, shared by the cell's atoms, so a block average holds
+    # O(cells * N) entry objects; sharing is safe because rows are tuples.
+    cell_rows = []
+    for label, size in enumerate(partition.cell_sizes, 1):
+        w = Fraction(1, size)
+        cell_rows.append(tuple(w if labels[x] == label else zero for x in range(N)))
+    return MarkovMatrix(tuple(cell_rows[label - 1] for label in labels))
 
 
 @dataclass(frozen=True)

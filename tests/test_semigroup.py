@@ -74,6 +74,16 @@ class TestBlockAverage:
         assert B.entries[3] == (Fraction(0), Fraction(0), h, h)
         assert rk.product(B, B).entries == B.entries
 
+    def test_interleaved_cells_share_one_row_each(self):
+        labels = [1, 2, 2, 1, 3]
+        B = rk.block_average(rk.make_partition(AtomSpace(5), labels))
+        size = {1: 2, 2: 2, 3: 1}
+        assert B.entries == tuple(
+            tuple(Fraction(1, size[a]) if a == b else Fraction(0) for b in labels)
+            for a in labels
+        )
+        assert B.entries[0] is B.entries[3] and B.entries[1] is B.entries[2]
+
 
 class TestOrder:
     def test_uniform_below_identity(self):
