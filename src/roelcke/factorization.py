@@ -12,7 +12,7 @@ S-preimages (each map's cell routes: the atoms of A_i sent into A_j), pairs
 off atoms cell-by-cell (order-preservingly, lowest index first, so witnesses
 are reproducible), and routes the leftover atoms by a single
 order-preserving bijection.  `factorize` checks the precondition and hands
-the routes to one private builder.  R and P are bijections by construction
+the pair to one private builder.  R and P are bijections by construction
 (the pairing and the leftover bijection together cover every atom once), so
 the builder makes them without re-validating them.
 
@@ -71,16 +71,6 @@ class FactorizationWitness:
     leftover_mass: Fraction
     cell_table: tuple[tuple[int, int, int, int, int], ...]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "R": list(self.R.forward),
-            "P": list(self.P.forward),
-            "r_deviation": str(self.r_deviation),
-            "p_deviation": str(self.p_deviation),
-            "leftover_mass": str(self.leftover_mass),
-            "cell_table": [list(row) for row in self.cell_table],
-        }
-
 
 def forward_bound_check(
     S: Automorphism,
@@ -117,11 +107,7 @@ def _cell_routes(T: Automorphism, partition: Partition) -> list[list[int]]:
 
 
 def _build_witness(
-    S: Automorphism,
-    T: Automorphism,
-    s_routes: list[list[int]],
-    t_routes: list[list[int]],
-    partition: Partition,
+    S: Automorphism, T: Automorphism, partition: Partition
 ) -> FactorizationWitness:
     """The canonical R and P with T = P*S*R, from both maps' cell routes."""
     N = partition.space.atom_count
@@ -130,7 +116,8 @@ def _build_witness(
     leftover_src: list[int] = []
     leftover_dst: list[int] = []
     table: list[tuple[int, int, int, int, int]] = []
-    for k, (src, dst) in enumerate(zip(t_routes, s_routes)):
+    routes = zip(_cell_routes(T, partition), _cell_routes(S, partition))
+    for k, (src, dst) in enumerate(routes):
         b = min(len(src), len(dst))
         for x, y in zip(src, dst):  # the first b of each
             forward_r[x] = y
@@ -178,9 +165,7 @@ def factorize(
     observed = w_distance(S, T, partition)
     if not observed < required:
         raise FactorizationPreconditionError(observed, required)
-    return _build_witness(
-        S, T, _cell_routes(S, partition), _cell_routes(T, partition), partition
-    )
+    return _build_witness(S, T, partition)
 
 
 def budget_identity(witness: FactorizationWitness) -> tuple[Fraction, Fraction]:
@@ -227,8 +212,7 @@ def exhaustive_left_factor_scan(
     deviation, are fixed by the target cells j of each map's leftover
     atoms, in ascending atom order: that tuple is the map's leftover key.
     Every pair across the two groups is counted, but the builder runs once
-    per class, on the first pair with a given (S key, T key); routes are
-    built only for those representatives, since nothing else reads them.
+    per class, on the first pair with a given (S key, T key).
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -263,9 +247,9 @@ def exhaustive_left_factor_scan(
             paired = [min(u, v) for u, v in zip(ka, kb)]
             s_reps = _class_representatives(groups[ka], paired, partition)
             t_reps = _class_representatives(groups[kb], paired, partition)
-            for S, s_routes in s_reps:
-                for T, t_routes in t_reps:
-                    witness = _build_witness(S, T, s_routes, t_routes, partition)
+            for S in s_reps:
+                for T in t_reps:
+                    witness = _build_witness(S, T, partition)
                     if witness.p_deviation > worst:
                         worst = witness.p_deviation
     return worst / epsilon, scanned
@@ -273,18 +257,16 @@ def exhaustive_left_factor_scan(
 
 def _class_representatives(
     group: list, paired: list[int], partition: Partition
-) -> list[tuple[Automorphism, list[list[int]]]]:
-    """The first member of `group` for each leftover key, with its routes.
+) -> list[Automorphism]:
+    """The first member of `group` for each leftover key.
 
     A member is a permutation and its signature of (route index k, rank r)
     per atom.  An atom is a leftover exactly when r >= paired[k], so the
     key, the leftovers' target cells j = k % n, is read off the signature.
-    Only representatives reach the builder, so only they get routes.
     """
     n = partition.cell_count
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
     for fwd, signature in group:
         reps.setdefault(tuple([k % n for k, r in signature if r >= paired[k]]), fwd)
     # Permutations are bijections by construction: no validation needed.
-    trusted = map(Automorphism._trusted, reps.values())
-    return [(T, _cell_routes(T, partition)) for T in trusted]
+    return [Automorphism._trusted(fwd) for fwd in reps.values()]

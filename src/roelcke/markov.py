@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
+_PARSED = {int, Fraction, str}  # what `MarkovMatrix.from_rows` converts
 
 
 def _require_exact(rows: Rows, what: str) -> None:
@@ -48,19 +49,11 @@ def _require_exact(rows: Rows, what: str) -> None:
         raise ValueError(f"{what} {v!r} is not an int or a Fraction")
 
 
-@dataclass(frozen=True)
-class MarkovCheck:
-    """Result of the Markov predicate: ok flag plus first violated constraint."""
-
-    ok: bool
-    violation: str | None = None
-
-
-def check_markov(rows: Rows) -> MarkovCheck:
-    """Exact test for nonnegativity and unit row and column sums."""
+def check_markov(rows: Rows) -> str | None:
+    """Exact test for nonnegativity and unit row and column sums: the first
+    violated constraint, or None."""
     ones = (1,) * len(rows)
-    violation = _sums_violation(rows, ones, ones)
-    return MarkovCheck(violation is None, violation)
+    return _sums_violation(rows, ones, ones)
 
 
 def _sums_violation(
@@ -88,7 +81,7 @@ def _sums_violation(
 
 
 def is_markov(rows: Rows) -> bool:
-    return check_markov(rows).ok
+    return check_markov(rows) is None
 
 
 @dataclass(frozen=True)
@@ -101,13 +94,18 @@ class MarkovMatrix:
         if not self.entries:
             raise ValueError("not a Markov matrix: size 0")
         _require_exact(self.entries, "not a Markov matrix: entry")
-        check = check_markov(self.entries)
-        if not check.ok:
-            raise ValueError(f"not a Markov matrix: {check.violation}")
+        violation = check_markov(self.entries)
+        if violation:
+            raise ValueError(f"not a Markov matrix: {violation}")
 
     @classmethod
     def from_rows(cls, rows: Rows) -> "MarkovMatrix":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
+        """Parse ints, Fractions and "p/q" strings; the constructor rejects
+        any other value, floats and bools included."""
+        return cls(tuple(
+            tuple(Fraction(v) if type(v) in _PARSED else v for v in row)
+            for row in rows
+        ))
 
     @classmethod
     def identity(cls, size: int) -> "MarkovMatrix":

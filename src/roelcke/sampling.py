@@ -80,22 +80,22 @@ def random_small_deviation(
             counts[i] += sign
             counts[j] += sign
 
-    attempts = rng.randrange(0, N)
-    for _ in range(attempts):
-        x, y = rng.randrange(N), rng.randrange(N)
-        if x == y:
-            continue
+    def exchange(x: int, y: int) -> None:
+        """Swap the images of x and y and update the per-cell counts."""
         add(x, -1)
         add(y, -1)
         fwd[x], fwd[y] = fwd[y], fwd[x]
         add(x, +1)
         add(y, +1)
+
+    attempts = rng.randrange(0, N)
+    for _ in range(attempts):
+        x, y = rng.randrange(N), rng.randrange(N)
+        if x == y:
+            continue
+        exchange(x, y)
         if not max(counts) < budget:
-            add(x, -1)
-            add(y, -1)
-            fwd[x], fwd[y] = fwd[y], fwd[x]
-            add(x, +1)
-            add(y, +1)
+            exchange(x, y)  # over budget: undo
     result = Automorphism(tuple(fwd))
     assert u_deviation(result, partition) < epsilon
     return result

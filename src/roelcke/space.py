@@ -35,12 +35,29 @@ class Partition:
 
     Labels are 1-based (values in 1..cell_count) to match the text
     serialization; cell i (0-based) collects the atoms with label i+1.
-    Construct through :func:`make_partition`, which validates.
+    The labels determine everything else, cell_count included, and are
+    validated on construction.
     """
 
     space: AtomSpace
     labels: tuple[int, ...]
-    cell_count: int
+
+    def __post_init__(self) -> None:
+        labels = self.labels
+        if len(labels) != self.space.atom_count:
+            raise ValueError(
+                f"labels has length {len(labels)}, expected {self.space.atom_count}"
+            )
+        if min(labels) < 1:
+            raise ValueError(f"labels must be >= 1, got {min(labels)}")
+        seen = set(labels)
+        for cell in range(1, max(labels) + 1):
+            if cell not in seen:
+                raise ValueError(f"cell {cell} is empty")
+
+    @cached_property
+    def cell_count(self) -> int:
+        return max(self.labels)
 
     @cached_property
     def cells(self) -> tuple[tuple[int, ...], ...]:
@@ -60,23 +77,8 @@ class Partition:
 
 
 def make_partition(space: AtomSpace, labels: Sequence[int]) -> Partition:
-    """Validate a label array and build the partition it describes.
-
-    Every label 1..max(labels) must occur at least once (no empty cells).
-    """
-    labels = tuple(labels)
-    if len(labels) != space.atom_count:
-        raise ValueError(
-            f"labels has length {len(labels)}, expected {space.atom_count}"
-        )
-    n = max(labels)
-    if min(labels) < 1:
-        raise ValueError(f"labels must be >= 1, got {min(labels)}")
-    seen = set(labels)
-    for cell in range(1, n + 1):
-        if cell not in seen:
-            raise ValueError(f"cell {cell} is empty")
-    return Partition(space=space, labels=labels, cell_count=n)
+    """The partition of `space` with the given labels (see `Partition`)."""
+    return Partition(space, tuple(labels))
 
 
 @dataclass(frozen=True)

@@ -393,3 +393,9 @@ def test_11_precompactness_net():
             violations += 1
     report(11, "precompactness net", violations == 0,
            f"net size={len(net)} trials={trials}")
+    # The trials reach only some of the joint tables; cover all of them.
+    ratios = conftest.net_coverage(alpha, eps)
+    covered = sum(r < 1 for r in ratios)
+    regime(11, "precompactness net",
+           f"tables covered={covered}/{len(ratios)} worst nearest/eps={max(ratios)}")
+    assert covered == len(ratios)

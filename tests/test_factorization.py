@@ -208,16 +208,6 @@ class TestFactorize:
             masses.append(rk.factorize(S, T, alpha, eps).leftover_mass)
         assert masses[0] == masses[1] == masses[2]
 
-    def test_witness_serialization(self):
-        rng = Random(7)
-        alpha = random_partition(rng, 8, 2)
-        S, T = random_close_pair(rng, alpha, Fraction(1, 4))
-        obj = rk.factorize(S, T, alpha, Fraction(1, 4)).to_json_obj()
-        assert set(obj) == {
-            "R", "P", "r_deviation", "p_deviation", "leftover_mass", "cell_table"
-        }
-        assert all(len(row) == 5 for row in obj["cell_table"])
-
 
 class TestLeftFactorScan:
     def test_small_exhaustive_under_constant(self):
@@ -282,6 +272,30 @@ class TestLeftFactorScan:
         monkeypatch.setattr(factorization, "_build_witness", record)
         exhaustive_left_factor_scan(alpha, eps)
         assert sorted(built) == sorted({leftover_class(S, T, alpha) for S, T, _ in pairs})
+
+    @pytest.mark.parametrize("labels, eps", _BRUTE_FORCE_CASES)
+    def test_scan_witnesses_are_exact(self, monkeypatch, labels, eps):
+        # The builder wraps R and P without validating them, so check every
+        # witness the scan builds: the product identity, the budget identity,
+        # and that both factors are permutations.
+        alpha = rk.make_partition(AtomSpace(len(labels)), labels)
+        checked = 0
+        build = factorization._build_witness
+
+        def check(S, T, partition):
+            nonlocal checked
+            w = build(S, T, partition)
+            assert rk.compose(w.P, rk.compose(S, w.R)).forward == T.forward
+            lhs, rhs = budget_identity(w)
+            assert lhs == rhs
+            Automorphism(w.R.forward)
+            Automorphism(w.P.forward)
+            checked += 1
+            return w
+
+        monkeypatch.setattr(factorization, "_build_witness", check)
+        exhaustive_left_factor_scan(alpha, eps)
+        assert checked > 0
 
     @pytest.mark.parametrize("labels, eps, result, builds", _CRITERION_2_CASES)
     def test_criterion_2_results_and_builds_pinned(

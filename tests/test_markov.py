@@ -19,19 +19,17 @@ class TestPredicate:
         assert rk.is_markov([[h, h], [h, h]])
 
     def test_bad_columns(self):
-        check = check_markov([[Fraction(1), Fraction(0)],
-                              [Fraction(1), Fraction(0)]])
-        assert not check.ok
-        assert "column" in check.violation
+        violation = check_markov([[Fraction(1), Fraction(0)],
+                                  [Fraction(1), Fraction(0)]])
+        assert "column" in violation
 
     def test_negative_entry(self):
-        check = check_markov([[Fraction(3, 2), Fraction(-1, 2)],
-                              [Fraction(-1, 2), Fraction(3, 2)]])
-        assert not check.ok
-        assert "negative" in check.violation
+        violation = check_markov([[Fraction(3, 2), Fraction(-1, 2)],
+                                  [Fraction(-1, 2), Fraction(3, 2)]])
+        assert "negative" in violation
 
     def test_not_square(self):
-        assert not check_markov([[Fraction(1)], [Fraction(1)]]).ok
+        assert check_markov([[Fraction(1)], [Fraction(1)]]) == "matrix is not square"
 
     def test_constructor_rejects(self):
         with pytest.raises(ValueError, match="row 0"):
@@ -51,6 +49,22 @@ class TestInputRegime:
     def test_inexact_entries_rejected(self, entries):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
             MarkovMatrix(entries)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.5, 0.5], [0.5, 0.5]],
+        [[True, False], [False, True]],
+    ], ids=["floats", "bools"])
+    def test_from_rows_rejects_inexact_entries(self, rows):
+        # Only ints, Fractions and strings are converted; anything else
+        # reaches the constructor and is refused with its message.
+        with pytest.raises(ValueError, match="not a Markov matrix: entry .* "
+                                             "is not an int or a Fraction"):
+            MarkovMatrix.from_rows(rows)
+
+    def test_from_rows_parses_ints_fractions_and_strings(self):
+        K = MarkovMatrix.from_rows([[1, 0], [0, 1]])
+        assert K == MarkovMatrix.from_rows([["1", "0/3"], [Fraction(0), "1/1"]])
+        assert all(type(v) is Fraction for row in K.entries for v in row)
 
     @pytest.mark.parametrize("entries, marginals", [
         (((0.5, 0.0), (0.0, 0.5)), (0.5, 0.5)),

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import roelcke as rk
 from roelcke.markov import compress, is_markov
-from roelcke.space import AtomSpace, joint_counts
+from roelcke.space import AtomSpace, Partition, joint_counts
 
 
 def brute_joint(T, partition):
@@ -50,6 +50,21 @@ class TestPartition:
     def test_empty_cell_rejected(self):
         with pytest.raises(ValueError, match="cell 2"):
             rk.make_partition(AtomSpace(4), [1, 1, 3, 3])
+
+    def test_constructor_validates(self):
+        # The dataclass checks its own labels; make_partition only wraps it.
+        with pytest.raises(ValueError, match="cell 2 is empty"):
+            Partition(AtomSpace(2), (1, 3))
+        with pytest.raises(ValueError, match=">= 1"):
+            Partition(AtomSpace(2), (0, 1))
+
+    def test_cell_count_is_derived_from_labels(self):
+        # There is no cell_count argument to contradict the labels.
+        with pytest.raises(TypeError):
+            Partition(AtomSpace(2), (1, 1), 3)
+        alpha = Partition(AtomSpace(3), (2, 1, 2))
+        assert alpha.cell_count == 2
+        assert alpha.cells == ((1,), (0, 2))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):

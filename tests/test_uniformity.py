@@ -2,6 +2,7 @@
 from fractions import Fraction
 from random import Random
 
+import conftest
 import pytest
 
 import roelcke as rk
@@ -164,6 +165,20 @@ class TestNet:
         alpha = rk.make_partition(AtomSpace(12), [1 + x % 4 for x in range(12)])
         with pytest.raises(NetInfeasibleError, match="cap"):
             rk.precompactness_net(alpha, Fraction(1, 1000))
+
+    @pytest.mark.parametrize("sizes, tables, worst", [
+        ((3, 3, 3), 55, Fraction(0)),
+        ((4, 4, 4), 120, Fraction(1, 3)),
+        ((2, 2, 2, 2), 282, Fraction(1, 2)),
+        ((3, 3, 3, 3), 2008, Fraction(2, 3)),
+    ])
+    def test_covers_every_joint_table(self, sizes, tables, worst):
+        # Past two cells coverage is not guaranteed, so every table is
+        # checked; the worst nearest centre is recorded, not only bounded.
+        labels = [i + 1 for i, s in enumerate(sizes) for _ in range(s)]
+        alpha = rk.make_partition(AtomSpace(len(labels)), labels)
+        ratios = conftest.net_coverage(alpha, Fraction(1, 4))
+        assert (len(ratios), max(ratios)) == (tables, worst)
 
     def test_cap_checked_before_full_enumeration(self, monkeypatch):
         # Three cells of 16 atoms at step 1: the full grid has 11,781 points.
