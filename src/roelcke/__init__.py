@@ -24,7 +24,6 @@ from roelcke.markov import (
     check_markov,
     compress,
     convex_combination,
-    is_markov,
     product,
 )
 from roelcke.uniformity import (
@@ -89,7 +88,6 @@ __all__ = [
     "invariant_idempotent_classify",
     "inverse",
     "is_idempotent",
-    "is_markov",
     "joint_matrix",
     "koopman_matrix",
     "make_partition",

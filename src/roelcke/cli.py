@@ -24,7 +24,12 @@ from typing import Callable, Iterator, get_type_hints
 from roelcke import density, factorization, sampling, semigroup, wap
 from roelcke.markov import MarkovMatrix
 from roelcke.space import compose, joint_matrix
-from roelcke.uniformity import NetInfeasibleError, precompactness_net, w_distance
+from roelcke.uniformity import (
+    NetInfeasibleError,
+    precompactness_net,
+    roelcke_related,
+    w_distance,
+)
 
 
 @dataclass(frozen=True)
@@ -134,11 +139,9 @@ def _run_backward(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
         witness = factorization.factorize(S, T, alpha, cfg.epsilon)
         exact = compose(witness.P, compose(S, witness.R)).forward == T.forward
         lhs, rhs = factorization.budget_identity(witness)
+        bound = factorization.LEFT_FACTOR_CONSTANT * cfg.epsilon
         passed = (
-            exact
-            and witness.r_deviation < 2 * cfg.epsilon
-            and witness.p_deviation
-            < factorization.LEFT_FACTOR_CONSTANT * cfg.epsilon
+            roelcke_related(S, T, witness.P, witness.R, alpha, bound)
             and lhs == rhs
             and lhs < cfg.epsilon
         )

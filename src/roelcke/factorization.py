@@ -38,9 +38,9 @@ from fractions import Fraction
 from roelcke.space import Automorphism, Partition, compose
 from roelcke.uniformity import u_deviation, w_distance
 
-#: Empirical/analytic bound on u_deviation(P)/epsilon for the canonical
-#: witness, fixed by exhaustive_left_factor_scan (see tests) and by the
-#: per-cell leftover argument above.  Must never exceed 4.
+#: The shipped bound on u_deviation/epsilon for both factors R and P of the
+#: canonical witness, by the per-cell leftover argument above; for P,
+#: exhaustive_left_factor_scan measures it (see tests).  Must never exceed 4.
 LEFT_FACTOR_CONSTANT = Fraction(2)
 
 

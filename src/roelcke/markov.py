@@ -80,10 +80,6 @@ def _sums_violation(
     return None
 
 
-def is_markov(rows: Rows) -> bool:
-    return check_markov(rows) is None
-
-
 @dataclass(frozen=True)
 class MarkovMatrix:
     """An N x N doubly stochastic matrix of exact rationals, N >= 1."""
@@ -121,23 +117,9 @@ class MarkovMatrix:
         w = Fraction(1, size)
         return cls(tuple((w,) * size for _ in range(size)))
 
-    @classmethod
-    def from_permutation(cls, forward: Sequence[int]) -> "MarkovMatrix":
-        """Permutation matrix U with U e_x = e_{forward[x]}."""
-        size = len(forward)
-        if sorted(forward) != list(range(size)):
-            raise ValueError(f"forward is not a permutation of 0..{size - 1}")
-        rows = [[Fraction(0)] * size for _ in range(size)]
-        for x, y in enumerate(forward):
-            rows[y][x] = Fraction(1)
-        return cls(tuple(tuple(r) for r in rows))
-
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    def transpose(self) -> "MarkovMatrix":
-        return MarkovMatrix(tuple(zip(*self.entries)))
 
     def to_strings(self) -> list[list[str]]:
         return [[str(v) for v in row] for row in self.entries]

@@ -3,9 +3,9 @@
 Covers: exact and float idempotency tests, block-averaging (conditional
 expectation) idempotents, the two-sided order p <= q and the equivalence of
 its one-sided conditions, least idempotents of singly generated closed
-subsemigroups via averaged powers, conjugation by automorphisms, and the
-classification of permutation-conjugation-invariant idempotents, which for
-every size is exactly {identity, projection onto constants}.
+convex subsemigroups via averaged powers, conjugation by automorphisms,
+and the classification of permutation-conjugation-invariant idempotents,
+which for every size is exactly {identity, projection onto constants}.
 
 Averaging runs in floating point with a stopping rule based on successive
 window averages; the window average of powers K^{m+1}..K^{2m} converges
@@ -154,7 +154,11 @@ CESARO_MAX_POWERS = 10**5
 
 
 def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
-    """Least idempotent of the closed subsemigroup generated by K.
+    """Least idempotent of the closed convex semigroup generated by K.
+
+    The limit p satisfies pK = Kp = p, so it lies below every idempotent of
+    that semigroup.  The powers alone can miss p: a 2-cycle's are {K, I},
+    while p is the all-1/2 matrix.
 
     Averages consecutive powers, in floating point, over doubling windows
     until two successive window averages agree to tol and the limit

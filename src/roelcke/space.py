@@ -18,6 +18,14 @@ from typing import Sequence
 from roelcke import markov
 
 
+def _require_ints(values: Sequence[int], what: str) -> None:
+    """Raise unless every value is exactly an int."""
+    # type(), not isinstance: a bool is an int, but prints as True.
+    if not set(map(type, values)) <= {int}:
+        v = next(v for v in values if type(v) is not int)
+        raise ValueError(f"{what} {v!r} is not an int")
+
+
 @dataclass(frozen=True)
 class AtomSpace:
     """N atoms, each of measure 1/N; total measure exactly 1."""
@@ -33,7 +41,7 @@ class AtomSpace:
 class Partition:
     """A labeling of the atoms into cell_count nonempty cells.
 
-    Labels are 1-based (values in 1..cell_count) to match the text
+    Labels are 1-based ints (values in 1..cell_count) to match the text
     serialization; cell i (0-based) collects the atoms with label i+1.
     The labels determine everything else, cell_count included, and are
     validated on construction.
@@ -44,6 +52,7 @@ class Partition:
 
     def __post_init__(self) -> None:
         labels = self.labels
+        _require_ints(labels, "label")
         if len(labels) != self.space.atom_count:
             raise ValueError(
                 f"labels has length {len(labels)}, expected {self.space.atom_count}"
@@ -88,6 +97,7 @@ class Automorphism:
     forward: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _require_ints(self.forward, "image")
         N = len(self.forward)
         seen = [False] * N
         for y in self.forward:
@@ -147,7 +157,11 @@ def koopman_matrix(T: Automorphism) -> markov.MarkovMatrix:
     Acting on observables, (Uf)(y) = f(T^{-1}(y)), so U represents
     composition with the inverse map.
     """
-    return markov.MarkovMatrix.from_permutation(T.forward)
+    N = T.atom_count
+    rows = [[Fraction(0)] * N for _ in range(N)]
+    for x, y in enumerate(T.forward):
+        rows[y][x] = Fraction(1)
+    return markov.MarkovMatrix(tuple(tuple(r) for r in rows))
 
 
 def joint_counts(T: Automorphism, partition: Partition) -> list[list[int]]:

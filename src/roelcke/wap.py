@@ -48,10 +48,6 @@ class ObservableVector:
             raise ValueError("dimension mismatch")
         return sum(a * b for a, b in zip(self.values, other.values)) / self.atom_count
 
-    @property
-    def norm_sq(self):
-        return self.inner(self)
-
     def translate(self, g: Automorphism) -> "ObservableVector":
         """The composition with g^{-1}: value at g(x) is the value at x."""
         if g.atom_count != self.atom_count:
@@ -71,10 +67,10 @@ class ObservableVector:
 def matrix_coefficient(K: MarkovMatrix, f: ObservableVector, g: ObservableVector):
     """<Kf, g> with the mass-weighted inner product."""
     N = K.size
-    if f.atom_count != N or g.atom_count != N:
+    if f.atom_count != N:
         raise ValueError("dimension mismatch")
-    kf = [sum(K.entries[y][x] * f.values[x] for x in range(N)) for y in range(N)]
-    return sum(a * b for a, b in zip(kf, g.values)) / N
+    kf = tuple(sum(K.entries[y][x] * f.values[x] for x in range(N)) for y in range(N))
+    return ObservableVector(kf).inner(g)
 
 
 def gram_psd_check(
@@ -116,22 +112,20 @@ def roelcke_modulus_check(
     ||f|| * (||U_Q f - f|| + ||U_{P^{-1}} f - f||); Cauchy-Schwarz makes
     the bound hold for every input.
     """
-    fv = np.array([float(v) for v in f.values])
     N = f.atom_count
 
-    def translate(g: Automorphism, v: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        out[np.array(g.forward)] = v
-        return out
+    def floats(v: ObservableVector) -> np.ndarray:
+        return np.array([float(x) for x in v.values])
 
     def ip(a: np.ndarray, b: np.ndarray) -> float:
         return float(a @ b) / N
 
+    fv = floats(f)
     t = compose(P, compose(S, Q))
-    lhs = abs(ip(translate(t, fv), fv) - ip(translate(S, fv), fv))
+    lhs = abs(ip(floats(f.translate(t)), fv) - ip(floats(f.translate(S)), fv))
     norm_f = math.sqrt(ip(fv, fv))
-    dq = translate(Q, fv) - fv
-    dp = translate(inverse(P), fv) - fv
+    dq = floats(f.translate(Q)) - fv
+    dp = floats(f.translate(inverse(P))) - fv
     rhs = norm_f * (math.sqrt(ip(dq, dq)) + math.sqrt(ip(dp, dp)))
     return ModulusCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + MODULUS_TOLERANCE)
 

@@ -42,6 +42,9 @@ _BRUTE_FORCE_CASES = [
     ((1, 1, 2, 2, 3), Fraction(3)),
     ((1, 2, 1, 2, 2), Fraction(2)),
     ((1, 2, 3, 1, 2), Fraction(3)),
+    # A count gap of exactly epsilon*N/n^2 = 1 atom: the strict precondition
+    # excludes it, and the scan must too.
+    ((1, 1, 2, 2), Fraction(1)),
 ]
 
 

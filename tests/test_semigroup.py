@@ -50,7 +50,7 @@ class TestIdempotents:
             beta = rk.make_partition(AtomSpace(5), labels)
             B = rk.block_average(beta)
             assert rk.is_idempotent(B)
-            assert rk.is_markov(B.entries)
+            assert rk.check_markov(B.entries) is None
 
     def test_generic_markov_is_not(self):
         K = random_markov(Random(1), 4)
@@ -184,7 +184,7 @@ class TestCesaro:
     def test_nonconvergent_message_names_the_period(self):
         # A 3-cycle does not mix slowly: its windows, of power-of-2 length,
         # never cover a whole number of periods.
-        K = rk.MarkovMatrix.from_permutation([1, 2, 0])
+        K = rk.koopman_matrix(rk.Automorphism((1, 2, 0)))
         with pytest.raises(CesaroConvergenceError) as info:
             rk.cesaro_idempotent(K)
         message = str(info.value)
@@ -230,7 +230,7 @@ class TestCesaro:
             for length in cycles:
                 forward += [start + (i + 1) % length for i in range(length)]
                 start += length
-            K = rk.MarkovMatrix.from_permutation(forward)
+            K = rk.koopman_matrix(rk.Automorphism(tuple(forward)))
             # The powers repeat with the period, so one period's average is
             # the limit.
             period = math.lcm(*cycles)
@@ -314,4 +314,4 @@ class TestConjugate:
         for _ in range(20):
             K = random_markov(rng, 5)
             g = random_permutation(rng, 5)
-            assert rk.is_markov(rk.conjugate(K, g).entries)
+            assert rk.check_markov(rk.conjugate(K, g).entries) is None

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import roelcke as rk
-from roelcke.markov import compress, is_markov
+from roelcke.markov import check_markov, compress
 from roelcke.space import AtomSpace, Partition, joint_counts
 
 
@@ -57,6 +57,11 @@ class TestPartition:
             Partition(AtomSpace(2), (1, 3))
         with pytest.raises(ValueError, match=">= 1"):
             Partition(AtomSpace(2), (0, 1))
+        # Labels must be ints: a bool would make cell_count True.
+        with pytest.raises(ValueError, match="label True is not an int"):
+            rk.make_partition(AtomSpace(2), (True, True))
+        with pytest.raises(ValueError, match="label 1.0 is not an int"):
+            rk.make_partition(AtomSpace(2), (1.0, 2.0))
 
     def test_cell_count_is_derived_from_labels(self):
         # There is no cell_count argument to contradict the labels.
@@ -96,9 +101,18 @@ class TestGroup:
         # The composite is the cycle 0 -> 1 -> 2 -> 0.
         assert got.forward == (1, 2, 0, 3)
 
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            rk.Automorphism((0, 0, 1))
+    @pytest.mark.parametrize("forward, message", [
+        ((0, 0, 1), "not a permutation"),
+        ((-1, 0), "not a permutation"),
+        ((5,), "not a permutation"),
+        ((0, 0), "not a permutation"),
+        ((1, 2), "not a permutation"),
+        ((True, False), "image True is not an int"),
+        ((1.0, 0.0), "image 1.0 is not an int"),
+    ])
+    def test_non_permutation_rejected(self, forward, message):
+        with pytest.raises(ValueError, match=message):
+            rk.Automorphism(forward)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -148,7 +162,8 @@ class TestKoopman:
         for _ in range(20):
             fwd = list(range(8))
             rng.shuffle(fwd)
-            assert is_markov(rk.koopman_matrix(rk.Automorphism(tuple(fwd))).entries)
+            U = rk.koopman_matrix(rk.Automorphism(tuple(fwd)))
+            assert check_markov(U.entries) is None
 
 
 class TestJointMatrix:

@@ -17,10 +17,10 @@ class TestObservable:
 
 
 class TestMatrixCoefficient:
-    def test_identity_gives_norm_squared(self):
+    def test_identity_gives_squared_norm(self):
         f = ObservableVector((Fraction(1), Fraction(2), Fraction(-1)))
         K = rk.MarkovMatrix.identity(3)
-        assert rk.matrix_coefficient(K, f, f) == f.norm_sq == Fraction(2)
+        assert rk.matrix_coefficient(K, f, f) == f.inner(f) == Fraction(2)
 
     def test_indicator_overlap(self):
         # Translating the indicator of {0, 1} by swap(1, 2) gives the
@@ -45,7 +45,7 @@ class TestMatrixCoefficient:
             f = random_observable(rng, 8)
             K = random_markov(rng, 8)
             value = rk.matrix_coefficient(K, f, f)
-            assert abs(value) <= f.norm_sq
+            assert abs(value) <= f.inner(f)
 
     def test_dimension_mismatch(self):
         f = ObservableVector.indicator(3, [0])
@@ -58,7 +58,7 @@ class TestGramPsd:
         f = ObservableVector((Fraction(1), Fraction(-3)))
         min_eig, ok = rk.gram_psd_check(f, [rk.identity(2)])
         assert ok
-        assert min_eig == pytest.approx(float(f.norm_sq))
+        assert min_eig == pytest.approx(float(f.inner(f)))
 
     def test_two_elements(self):
         f = ObservableVector.indicator(4, [0, 1])
