@@ -1,10 +1,12 @@
 """Constructive density of automorphisms among Markov operators.
 
 Three pieces: exact realization of a partition-level coupling by a
-permutation (row-major, order-preserving filling), rounding of an arbitrary
-real coupling onto the (1/N)-grid with exact marginals, and the classical
-convex decomposition of a doubly stochastic matrix into permutation
-matrices via perfect matchings.
+permutation (row-major, order-preserving filling), controlled rounding of an
+exact coupling onto the (1/N)-grid (every entry to an adjacent multiple of
+1/N, so within 1/N, with the marginals exact), and the classical convex
+decomposition of a doubly stochastic matrix into permutation matrices via
+perfect matchings.  Rounding and then realizing approximates any Markov
+operator's partition image by an automorphism's joint distribution.
 """
 from __future__ import annotations
 
@@ -18,10 +20,6 @@ from roelcke.space import Automorphism, Partition
 
 class RealizationError(ValueError):
     """Raised when a coupling cannot be realized on the atom grid."""
-
-
-#: Float slack in `round_to_grid`'s input entries (n times it in a sum).
-GRID_TOLERANCE = 1e-9
 
 
 def realize(C: CouplingMatrix, partition: Partition) -> Automorphism:
@@ -76,121 +74,75 @@ def _realize_counts(counts: list[list[int]], partition: Partition) -> Automorphi
     return Automorphism(tuple(forward))
 
 
-def round_to_grid(
-    D: Sequence[Sequence[float]],
-    N: int,
-    row_marginals: Sequence[Fraction],
-    col_marginals: Sequence[Fraction],
-) -> CouplingMatrix:
-    """Round a real coupling onto the (1/N)-grid, keeping marginals exact.
+def round_to_grid(C: CouplingMatrix, N: int) -> CouplingMatrix:
+    """Controlled rounding of C onto the (1/N)-grid (Cox 1987).
 
-    D may miss nonnegativity and its marginals by `GRID_TOLERANCE`.
-    Largest-remainder apportionment per row makes the row sums exact; column
-    repair then moves one unit at a time from the first surplus to the first
-    deficit column, out of the lowest row that has one.  Max-entry error is
-    at most n/N; entry accuracy is sacrificed, never the marginals, because
-    realization requires them exact.
+    Theorem, for every size n: every entry moves to an adjacent multiple of
+    1/N, so its error is below 1/N, and the marginals stay exact.  Floor
+    N*C; each row and column then falls short by the sum of its remainders,
+    an integer.  The remainders are a fractional way to raise cells with a
+    nonzero remainder by at most one unit each so that every shortfall is
+    met, so an integral way exists (flow integrality), and
+    `_zero_one_table` finds it.  RealizationError unless N >= 1 and the
+    marginals are multiples of 1/N.
     """
     if N < 1:
         raise RealizationError(f"N must be >= 1, got {N}")
-    n = len(D)
-    for i, m in enumerate(row_marginals):
+    for m in (*C.row_marginals, *C.col_marginals):
         if (m * N).denominator != 1:
-            raise RealizationError(f"row marginal {i} not a multiple of 1/{N}")
-    for j, m in enumerate(col_marginals):
-        if (m * N).denominator != 1:
-            raise RealizationError(f"column marginal {j} not a multiple of 1/{N}")
-    for i, row in enumerate(D):
-        if any(v < -GRID_TOLERANCE for v in row):
-            raise RealizationError(f"negative entry in row {i}")
-        if abs(sum(row) - float(row_marginals[i])) > GRID_TOLERANCE * n:
-            raise RealizationError(
-                f"row {i} sums to {sum(row)}, expected {float(row_marginals[i])}"
-            )
-    for j in range(n):
-        s = sum(D[i][j] for i in range(n))
-        if abs(s - float(col_marginals[j])) > GRID_TOLERANCE * n:
-            raise RealizationError(
-                f"column {j} sums to {s}, expected {float(col_marginals[j])}"
-            )
-
-    # Per-row largest-remainder apportionment of N*D[i] into integers.
-    units = [[0] * n for _ in range(n)]
-    for i in range(n):
-        target = int(row_marginals[i] * N)
-        scaled = [max(0.0, D[i][j] * N) for j in range(n)]
-        floors = [math.floor(v) for v in scaled]
-        short = target - sum(floors)
-        if short < 0:
-            # Floating overshoot; trim from the smallest remainders.
-            order = sorted(range(n), key=lambda j: (scaled[j] - floors[j], j))
-            for j in order:
-                if short == 0:
-                    break
-                if floors[j] > 0:
-                    floors[j] -= 1
-                    short += 1
-        else:
-            order = sorted(
-                range(n), key=lambda j: (-(scaled[j] - floors[j]), j)
-            )
-            for j in order[:short]:
-                floors[j] += 1
-        units[i] = floors
-
-    # Column repair.  A surplus column sums to more than its target, so it
-    # has a positive entry; each move cuts the total imbalance by 2.
-    col_target = [int(m * N) for m in col_marginals]
-    while True:
-        excess = [sum(col) - t for col, t in zip(zip(*units), col_target)]
-        surplus = [j for j, e in enumerate(excess) if e > 0]
-        deficit = [j for j, e in enumerate(excess) if e < 0]
-        if not (surplus and deficit):
-            break
-        js, jd = surplus[0], deficit[0]
-        i = next(i for i in range(n) if units[i][js] > 0)
-        units[i][js] -= 1
-        units[i][jd] += 1
-    if surplus or deficit:
-        raise RealizationError(
-            f"column repair stuck: surplus {surplus}, deficit {deficit}"
-        )
-
-    entries = tuple(
-        tuple(Fraction(units[i][j], N) for j in range(n)) for i in range(n)
+            raise RealizationError(f"marginal {m} is not a multiple of 1/{N}")
+    scaled = [[v * N for v in row] for row in C.entries]
+    floors = [[math.floor(v) for v in row] for row in scaled]
+    up = _zero_one_table(
+        [[v != f for v, f in zip(*pair)] for pair in zip(scaled, floors)],
+        [int(m * N) - sum(row) for m, row in zip(C.row_marginals, floors)],
+        [int(m * N) - sum(col) for m, col in zip(C.col_marginals, zip(*floors))],
     )
     return CouplingMatrix(
-        entries=entries,
-        row_marginals=tuple(row_marginals),
-        col_marginals=tuple(col_marginals),
+        entries=tuple(
+            tuple(Fraction(f + u, N) for f, u in zip(*pair))
+            for pair in zip(floors, up)
+        ),
+        row_marginals=C.row_marginals,
+        col_marginals=C.col_marginals,
     )
 
 
-def _perfect_matching(support: list[list[bool]]) -> list[int] | None:
-    """Row -> column perfect matching on a boolean support, or None.
+def _zero_one_table(
+    support: list[list[bool]], row_sums: list[int], col_sums: list[int]
+) -> list[list[int]]:
+    """A 0/1 table on `support` with the given row and column sums.
 
-    Augmenting-path search; columns are tried in increasing index order so
-    the matching (and hence the decomposition) is deterministic.
+    With all sums 1 it is a perfect matching.  One augmenting path per
+    unit, columns tried in increasing order, so the table is deterministic:
+    a full column makes room by moving one of its units to another column.
+    ArithmeticError when no such table exists, which no exact caller meets.
     """
     n = len(support)
-    match_col = [-1] * n  # column -> row
+    holders: list[list[int]] = [[] for _ in range(n)]  # column -> its rows
 
-    def augment(r: int, seen: list[bool]) -> bool:
-        for c in range(n):
-            if support[r][c] and not seen[c]:
-                seen[c] = True
-                if match_col[c] == -1 or augment(match_col[c], seen):
-                    match_col[c] = r
+    def augment(i: int, seen: list[bool]) -> bool:
+        for j in range(n):
+            if support[i][j] and not seen[j] and i not in holders[j]:
+                seen[j] = True
+                if len(holders[j]) < col_sums[j]:
+                    holders[j].append(i)
                     return True
+                for slot, k in enumerate(holders[j]):
+                    if augment(k, seen):
+                        holders[j][slot] = i
+                        return True
         return False
 
-    for r in range(n):
-        if not augment(r, [False] * n):
-            return None
-    perm = [-1] * n
-    for c, r in enumerate(match_col):
-        perm[r] = c
-    return perm
+    for i in range(n):
+        for _ in range(row_sums[i]):
+            if not augment(i, [False] * n):
+                raise ArithmeticError(f"no 0/1 table on the support: row {i} stuck")
+    table = [[0] * n for _ in range(n)]
+    for j, rows in enumerate(holders):
+        for i in rows:
+            table[i][j] = 1
+    return table
 
 
 def birkhoff(D: MarkovMatrix) -> list[tuple[Fraction, tuple[int, ...]]]:
@@ -208,13 +160,7 @@ def birkhoff(D: MarkovMatrix) -> list[tuple[Fraction, tuple[int, ...]]]:
     remaining = Fraction(1)
     while remaining > 0:
         support = [[v > 0 for v in row] for row in work]
-        perm = _perfect_matching(support)
-        if perm is None:
-            # Cannot happen for an exactly doubly stochastic matrix.
-            raise ArithmeticError(
-                "no perfect matching on positive support; input is not "
-                "doubly stochastic or arithmetic is broken"
-            )
+        perm = [row.index(1) for row in _zero_one_table(support, [1] * n, [1] * n)]
         weight = min(work[r][perm[r]] for r in range(n))
         for r in range(n):
             work[r][perm[r]] -= weight

@@ -122,24 +122,30 @@ def _enumerate_grid(
 NET_GRID_CAP = 100_000
 
 
+def _net_step(partition: Partition, epsilon: Fraction) -> int:
+    """The net's grid step s in atoms: the largest divisor of all cell sizes
+    not exceeding epsilon*N (at least 1).  epsilon must be positive."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    g = math.gcd(*partition.cell_sizes)
+    cap = max(1, math.floor(epsilon * partition.space.atom_count))
+    return max(d for d in range(1, cap + 1) if g % d == 0)
+
+
 def precompactness_net(partition: Partition, epsilon: Fraction) -> list[Automorphism]:
     """A finite net of automorphisms covering the whole group in w_distance.
 
-    Enumerates joint count tables (margins the cell sizes) on a coarse
-    sub-grid, step the largest divisor of all cell sizes not exceeding
-    epsilon*N atoms, and realizes each exactly; more than `NET_GRID_CAP`
-    tables is an error.  With two cells the grid provably covers every
-    automorphism strictly within epsilon; for finer partitions coverage is
-    checked, not guaranteed.  epsilon must be positive.
+    Enumerates joint count tables (margins the cell sizes) on the sub-grid
+    of step s = `_net_step`, and realizes each exactly; more than
+    `NET_GRID_CAP` tables is an error.  Theorem, for every number of cells:
+    the net covers every automorphism T strictly within epsilon.  Controlled
+    rounding of T's joint table onto the step-s grid (`density.round_to_grid`
+    at N/s) moves each count to an adjacent multiple of s, so by at most
+    s - 1 atoms, and keeps the margins, which are multiples of s; the result
+    is one of the enumerated tables, and s - 1 < epsilon*N.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    step = _net_step(partition, epsilon)
     sizes = list(partition.cell_sizes)
-    g = 0
-    for s in sizes:
-        g = math.gcd(g, s)
-    cap = max(1, math.floor(epsilon * partition.space.atom_count))
-    step = max(d for d in range(1, cap + 1) if g % d == 0)
 
     grids = list(
         itertools.islice(_enumerate_grid(sizes, sizes, step), NET_GRID_CAP + 1)

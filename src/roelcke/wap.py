@@ -46,7 +46,9 @@ class ObservableVector:
     def inner(self, other: "ObservableVector"):
         if self.atom_count != other.atom_count:
             raise ValueError("dimension mismatch")
-        return sum(a * b for a, b in zip(self.values, other.values)) / self.atom_count
+        # Starting from Fraction(0) keeps int values exact; floats stay floats.
+        total = sum((a * b for a, b in zip(self.values, other.values)), Fraction(0))
+        return total / self.atom_count
 
     def translate(self, g: Automorphism) -> "ObservableVector":
         """The composition with g^{-1}: value at g(x) is the value at x."""

@@ -28,19 +28,56 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"wall time {name}: {seconds:.1f} s")
 
 
-def net_coverage(partition, epsilon) -> list[Fraction]:
-    """w_distance from each joint count table to its nearest net centre,
-    over epsilon: below 1 means covered.
+def _joint_tables(partition):
+    """One automorphism per joint count table (margins the cell sizes).
 
     w_distance sees an automorphism only through its joint table, so
-    walking every table (margins the cell sizes, step 1) and realizing it
-    exactly covers the whole group, not a sample of it.
+    walking every table and realizing it exactly covers the whole group,
+    not a sample of it.
     """
-    net = rk.precompactness_net(partition, epsilon)
     sizes = list(partition.cell_sizes)
-    ratios = []
     for counts in uniformity._enumerate_grid(sizes, sizes, 1):
         T = density._realize_counts(counts, partition)
         assert joint_counts(T, partition) == counts
+        yield T
+
+
+def _rounding_check(partition, epsilon):
+    """A check that T's joint table rounds (`density.round_to_grid` at N/s)
+    onto one of the net's step-s tables within s - 1 atoms; it returns the
+    gap in atoms."""
+    N = partition.space.atom_count
+    step = uniformity._net_step(partition, epsilon)
+    sizes = list(partition.cell_sizes)
+    centres = {tuple(map(tuple, t))
+               for t in uniformity._enumerate_grid(sizes, sizes, step)}
+
+    def check(T) -> int:
+        R = density.round_to_grid(rk.joint_matrix(T, partition), N // step)
+        rounded = tuple(tuple(int(v * N) for v in row) for row in R.entries)
+        assert rounded in centres
+        gap = max(abs(a - b) for ra, rb in zip(rounded, joint_counts(T, partition))
+                  for a, b in zip(ra, rb))
+        assert gap <= step - 1
+        return gap
+
+    return check
+
+
+def rounding_gaps(partition, epsilon) -> list[int]:
+    """Atom gap from every joint table to the net table it rounds onto."""
+    check = _rounding_check(partition, epsilon)
+    return [check(T) for T in _joint_tables(partition)]
+
+
+def net_coverage(partition, epsilon) -> list[Fraction]:
+    """w_distance from each joint count table to its nearest net centre,
+    over epsilon: below 1 means covered.  Each table is also checked to
+    round onto a net table within s - 1 atoms (`_rounding_check`)."""
+    net = rk.precompactness_net(partition, epsilon)
+    check = _rounding_check(partition, epsilon)
+    ratios = []
+    for T in _joint_tables(partition):
+        check(T)
         ratios.append(min(rk.w_distance(T, c, partition) for c in net) / epsilon)
     return ratios

@@ -162,6 +162,39 @@ def test_04_density_realization():
         if rk.joint_matrix(T, alpha).entries != C.entries:
             violations += 1
     report(4, "density realization", violations == 0, f"trials={trials}")
+    # Off the grid: round a random Markov operator's partition image onto
+    # M = rN atoms and realize it on alpha refined r-fold.  Coefficients are
+    # read off the tables; M x M Koopman matrices would take minutes.
+    off_grid = 0
+    worst = Fraction(0)
+    for _ in range(200):
+        N, n = rng.randrange(4, 9), rng.randrange(2, 5)
+        alpha = random_partition(rng, N, n)
+        K = random_markov(rng, N)
+        C = rk.compress(K, alpha)
+        f = [Fraction(rng.randrange(-8, 9), 8) for _ in range(n)]
+        g = [Fraction(rng.randrange(-8, 9), 8) for _ in range(n)]
+        f_alpha, g_alpha = (rk.ObservableVector(tuple(h[a - 1] for a in alpha.labels))
+                            for h in (f, g))
+        assert rk.matrix_coefficient(K, f_alpha, g_alpha) == sum(
+            C.entries[i][j] * f[i] * g[j] for i in range(n) for j in range(n)
+        )
+        for r in (1, 4, 16, 64):
+            M = r * N
+            refined = rk.make_partition(
+                AtomSpace(M), [a for a in alpha.labels for _ in range(r)]
+            )
+            R = rk.round_to_grid(C, M)
+            T = rk.realize(R, refined)
+            assert rk.joint_matrix(T, refined).entries == R.entries
+            error = max(abs(x - y) for rr, rc in zip(R.entries, C.entries)
+                        for x, y in zip(rr, rc))
+            assert error * M < 1, f"entry error {error * M}/M at M={M}"
+            off_grid += any((v * M).denominator != 1 for row in C.entries for v in row)
+            worst = max(worst, error * M)
+    regime(4, "density realization",
+           f"off-grid trials={off_grid}/800 worst error*M={float(worst):.3f}")
+    assert off_grid > 0
 
 
 def test_05_birkhoff():
@@ -396,3 +429,9 @@ def test_11_precompactness_net():
     regime(11, "precompactness net",
            f"tables covered={covered}/{len(ratios)} worst nearest/eps={max(ratios)}")
     assert covered == len(ratios)
+    # Five cells: every table rounds onto a net table within s - 1 atoms,
+    # checked without the nearest-centre search.
+    five = rk.make_partition(AtomSpace(10), [1 + x // 2 for x in range(10)])
+    gaps = conftest.rounding_gaps(five, Fraction(1, 4))
+    regime(11, "net rounding (2,2,2,2,2) eps=1/4",
+           f"tables rounded={len(gaps)} worst gap={max(gaps)} atoms")

@@ -24,17 +24,26 @@ def coupling(rows, masses):
 
 
 def blended_coupling(rng, N, n):
-    """A random real coupling with exact cell-mass marginals: two realizable
-    ones blended with an irrational-ish weight.  Returns (D, masses)."""
+    """A random coupling with exact cell-mass marginals, generally off the
+    (1/N)-grid: two realizable ones blended exactly with a random weight."""
     alpha = random_partition(rng, N, n)
     A = random_realizable_coupling(rng, alpha)
     B = random_realizable_coupling(rng, alpha)
-    t = rng.random()
-    D = [
-        [t * float(a) + (1 - t) * float(b) for a, b in zip(ra, rb)]
+    t = Fraction(rng.random())
+    rows = [
+        [t * a + (1 - t) * b for a, b in zip(ra, rb)]
         for ra, rb in zip(A.entries, B.entries)
     ]
-    return D, alpha.masses
+    return coupling(rows, alpha.masses)
+
+
+def assert_controlled_rounding(R, C, N):
+    """R is C moved entrywise to an adjacent multiple of 1/N, same marginals."""
+    assert (R.row_marginals, R.col_marginals) == (C.row_marginals, C.col_marginals)
+    for r_row, c_row in zip(R.entries, C.entries):
+        for r, c in zip(r_row, c_row):
+            assert (r * N).denominator == 1
+            assert abs(r - c) < Fraction(1, N)
 
 
 class TestRealize:
@@ -81,59 +90,65 @@ class TestRealize:
 class TestRoundToGrid:
     def test_already_on_grid_unchanged(self):
         masses = (Fraction(1, 2), Fraction(1, 2))
-        D = [[0.3, 0.2], [0.2, 0.3]]
-        C = round_to_grid(D, 10, masses, masses)
-        assert C.to_strings() == [["3/10", "1/5"], ["1/5", "3/10"]]
+        C = coupling([["3/10", "1/5"], ["1/5", "3/10"]], masses)
+        assert round_to_grid(C, 10).to_strings() == [["3/10", "1/5"], ["1/5", "3/10"]]
 
     def test_exhaustive_small_grid_targets(self):
-        # Oracle: every realizable two-cell coupling fed in as floats must
-        # come back unchanged.
+        # Oracle: every realizable two-cell coupling must come back unchanged.
         for N in (4, 8, 16):
             half = N // 2
             masses = (Fraction(half, N), Fraction(half, N))
             for k in range(half + 1):
                 rows = [[Fraction(half - k, N), Fraction(k, N)],
                         [Fraction(k, N), Fraction(half - k, N)]]
-                D = [[float(v) for v in row] for row in rows]
-                C = round_to_grid(D, N, masses, masses)
+                C = round_to_grid(coupling(rows, masses), N)
                 assert [list(r) for r in C.entries] == rows
 
     def test_random_error_bound(self):
         rng = Random(2)
         N, n = 1024, 3
         for _ in range(50):
-            D, masses = blended_coupling(rng, N, n)
-            C = round_to_grid(D, N, masses, masses)
-            err = max(
-                abs(float(C.entries[i][j]) - D[i][j])
-                for i in range(n) for j in range(n)
-            )
-            assert err <= n / N + 1e-9
+            C = blended_coupling(rng, N, n)
+            assert_controlled_rounding(round_to_grid(C, N), C, N)
 
-    @pytest.mark.parametrize("seed, N, n, expected", [
-        (0, 12, 3, [["1/12", "1/12", "1/6"], ["1/6", "1/12", "1/12"],
-                    ["1/12", "1/6", "1/12"]]),
-        (1, 16, 4, [["0", "1/16", "1/8", "1/16"], ["1/16", "1/16", "1/16", "1/16"],
-                    ["1/8", "1/16", "0", "1/16"], ["1/16", "1/16", "1/16", "1/16"]]),
-        (3, 30, 3, [["2/15", "2/15", "1/15"], ["1/10", "1/10", "2/15"],
-                    ["1/10", "1/10", "2/15"]]),
-    ])
-    def test_column_repair_pinned(self, seed, N, n, expected):
-        # In each of these inputs the per-row apportionment misses a column
-        # target, so the entries depend on which units the repair moves.
-        D, masses = blended_coupling(Random(seed), N, n)
-        assert round_to_grid(D, N, masses, masses).to_strings() == expected
+    def test_every_size_rounds_to_adjacent_multiples(self):
+        # The theorem holds for every n, not only for the small n of the
+        # density criterion: partition images of random Markov operators,
+        # rounded onto r-fold finer grids.
+        rng = Random(6)
+        for trial in range(60):
+            n = 2 + trial % 7
+            alpha = random_partition(rng, 2 * n + trial % 5, n)
+            C = rk.compress(random_markov(rng, alpha.space.atom_count), alpha)
+            for r in (1, 3, 8):
+                N = r * alpha.space.atom_count
+                assert_controlled_rounding(round_to_grid(C, N), C, N)
 
     @pytest.mark.parametrize("N", [0, -2])
     def test_atom_count_below_one_rejected(self, N):
         masses = (Fraction(1, 2), Fraction(1, 2))
+        C = coupling([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], masses)
         with pytest.raises(RealizationError, match="N must be >= 1"):
-            round_to_grid([[0.5, 0.0], [0.0, 0.5]], N, masses, masses)
+            round_to_grid(C, N)
 
-    def test_negative_rejected(self):
+    def test_marginals_off_the_grid_rejected(self):
         masses = (Fraction(1, 2), Fraction(1, 2))
-        with pytest.raises(RealizationError, match="negative"):
-            round_to_grid([[0.6, -0.1], [-0.1, 0.6]], 10, masses, masses)
+        C = coupling([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], masses)
+        with pytest.raises(RealizationError, match="not a multiple of 1/3"):
+            round_to_grid(C, 3)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[Fraction(3, 5), Fraction(-1, 10)], [Fraction(-1, 10), Fraction(3, 5)]],
+         "negative"),
+        ([[0.5, 0.0], [0.0, 0.5]], "not an int or a Fraction"),
+        ([[Fraction(1, 2), 0], [Fraction(1, 4), Fraction(1, 4)]], "sums to"),
+    ])
+    def test_inexact_or_non_coupling_input_rejected(self, rows, match):
+        # The float, negative and wrong-marginal inputs the rounding used to
+        # screen itself never reach it: CouplingMatrix refuses them.
+        masses = (Fraction(1, 2), Fraction(1, 2))
+        with pytest.raises(ValueError, match=match):
+            CouplingMatrix(tuple(map(tuple, rows)), masses, masses)
 
 
 class TestBirkhoff:
@@ -168,7 +183,7 @@ class TestBirkhoff:
 class TestDensityExperiment:
     def test_quantified_density(self):
         # Any partition-level Markov target is approximated by an
-        # automorphism within n/N in every coupling entry once N >= n/eps.
+        # automorphism within 1/N in every coupling entry, for every N.
         rng = Random(5)
         for _ in range(20):
             n = rng.randrange(2, 5)
@@ -176,16 +191,15 @@ class TestDensityExperiment:
             N = int(n / eps) * 4  # comfortably above n/eps, multiple of n
             alpha = rk.make_partition(AtomSpace(N), [1 + x % n for x in range(N)])
             K = random_markov(rng, n, terms=3)
-            target = [
-                [float(K.entries[i][j]) * float(alpha.masses[i])
-                 for j in range(n)]
-                for i in range(n)
-            ]
-            C = round_to_grid(target, N, alpha.masses, alpha.masses)
-            T = rk.realize(C, alpha)
+            target = coupling(
+                [[K.entries[i][j] * alpha.masses[i] for j in range(n)]
+                 for i in range(n)],
+                alpha.masses,
+            )
+            T = rk.realize(round_to_grid(target, N), alpha)
             J = rk.joint_matrix(T, alpha)
             err = max(
-                abs(float(J.entries[i][j]) - target[i][j])
+                abs(J.entries[i][j] - target.entries[i][j])
                 for i in range(n) for j in range(n)
             )
-            assert err < float(eps)
+            assert err < Fraction(1, N) < eps

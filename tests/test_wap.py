@@ -15,6 +15,16 @@ class TestObservable:
         with pytest.raises(ValueError, match="at least one atom"):
             ObservableVector(())
 
+    def test_inner_exact_on_int_values(self):
+        # Dividing an int sum by the atom count used to give the float 4.666...
+        f = ObservableVector((1, 2, 3))
+        assert type(f.inner(f)) is Fraction and f.inner(f) == Fraction(14, 3)
+        assert f.inner(f) == rk.matrix_coefficient(rk.MarkovMatrix.identity(3), f, f)
+
+    def test_inner_float_values_stay_float(self):
+        f = ObservableVector((0.5, 1.5))
+        assert type(f.inner(f)) is float and f.inner(f) == 1.25
+
 
 class TestMatrixCoefficient:
     def test_identity_gives_squared_norm(self):
