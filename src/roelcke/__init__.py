@@ -57,6 +57,7 @@ from roelcke.semigroup import (
     invariant_idempotent_classify,
     is_idempotent,
     order_check,
+    power_idempotent_exact,
 )
 
 __all__ = [
@@ -92,6 +93,7 @@ __all__ = [
     "koopman_matrix",
     "make_partition",
     "matrix_coefficient",
+    "power_idempotent_exact",
     "precompactness_net",
     "product",
     "realize",

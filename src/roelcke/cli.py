@@ -6,7 +6,7 @@ key.  Rationals are serialized as canonical "p/q" strings, never floats.
 
 Exit codes: 0 no violations, 1 violations observed, 2 usage error (bad
 flags, --format csv without --out, an input outside a suite's regime, an
-unwritable --out), 3 infeasible parameters (e.g. unrealizable net grid).
+unwritable --out), 3 infeasible parameters (a net grid past its cap).
 """
 from __future__ import annotations
 

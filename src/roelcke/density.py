@@ -33,11 +33,9 @@ def realize(C: CouplingMatrix, partition: Partition) -> Automorphism:
     n = partition.cell_count
     if C.size != n:
         raise RealizationError("coupling size does not match cell count")
-    masses = partition.masses
-    if C.row_marginals != masses or C.col_marginals != masses:
+    if C.marginals != partition.masses:
         raise RealizationError(
-            f"marginals {C.row_marginals}/{C.col_marginals} do not match "
-            f"cell masses {masses}"
+            f"marginals {C.marginals} do not match cell masses {partition.masses}"
         )
     counts = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -88,23 +86,22 @@ def round_to_grid(C: CouplingMatrix, N: int) -> CouplingMatrix:
     """
     if N < 1:
         raise RealizationError(f"N must be >= 1, got {N}")
-    for m in (*C.row_marginals, *C.col_marginals):
+    for m in C.marginals:
         if (m * N).denominator != 1:
             raise RealizationError(f"marginal {m} is not a multiple of 1/{N}")
     scaled = [[v * N for v in row] for row in C.entries]
     floors = [[math.floor(v) for v in row] for row in scaled]
     up = _zero_one_table(
         [[v != f for v, f in zip(*pair)] for pair in zip(scaled, floors)],
-        [int(m * N) - sum(row) for m, row in zip(C.row_marginals, floors)],
-        [int(m * N) - sum(col) for m, col in zip(C.col_marginals, zip(*floors))],
+        [int(m * N) - sum(row) for m, row in zip(C.marginals, floors)],
+        [int(m * N) - sum(col) for m, col in zip(C.marginals, zip(*floors))],
     )
     return CouplingMatrix(
         entries=tuple(
             tuple(Fraction(f + u, N) for f, u in zip(*pair))
             for pair in zip(floors, up)
         ),
-        row_marginals=C.row_marginals,
-        col_marginals=C.col_marginals,
+        marginals=C.marginals,
     )
 
 

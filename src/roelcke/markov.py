@@ -52,15 +52,12 @@ def _require_exact(rows: Rows, what: str) -> None:
 def check_markov(rows: Rows) -> str | None:
     """Exact test for nonnegativity and unit row and column sums: the first
     violated constraint, or None."""
-    ones = (1,) * len(rows)
-    return _sums_violation(rows, ones, ones)
+    return _sums_violation(rows, (1,) * len(rows))
 
 
-def _sums_violation(
-    rows: Rows, row_sums: Sequence[Fraction], col_sums: Sequence[Fraction]
-) -> str | None:
-    """The first way rows fails to be square and nonnegative with the given
-    row and column sums, or None."""
+def _sums_violation(rows: Rows, sums: Sequence[Fraction]) -> str | None:
+    """The first way rows fails to be square and nonnegative with every row
+    and every column summing to `sums`, or None."""
     n = len(rows)
     for row in rows:
         if len(row) != n:
@@ -71,12 +68,12 @@ def _sums_violation(
                 return f"negative entry at ({y}, {x}): {v}"
     for y, row in enumerate(rows):
         s = sum(row)
-        if s != row_sums[y]:
-            return f"row {y} sums to {s}, expected {row_sums[y]}"
+        if s != sums[y]:
+            return f"row {y} sums to {s}, expected {sums[y]}"
     for x in range(n):
         s = sum(rows[y][x] for y in range(n))
-        if s != col_sums[x]:
-            return f"column {x} sums to {s}, expected {col_sums[x]}"
+        if s != sums[x]:
+            return f"column {x} sums to {s}, expected {sums[x]}"
     return None
 
 
@@ -187,29 +184,27 @@ def convex_combination(
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """An n x n nonnegative matrix with prescribed row and column marginals.
+    """An n x n nonnegative matrix whose rows and columns both sum to the
+    marginals.
 
     Partition-level shadow of a Markov operator: entry (i, j) records how
-    much mass moves from cell A_i to cell A_j.
+    much mass moves from cell A_i to cell A_j.  A measure-preserving
+    operator moves each cell's mass out and takes as much in, so one
+    vector, the cell masses, serves as both margins.
     """
 
     entries: tuple[tuple[Fraction, ...], ...]
-    row_marginals: tuple[Fraction, ...]
-    col_marginals: tuple[Fraction, ...]
+    marginals: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         _require_exact(
-            (*self.entries, self.row_marginals, self.col_marginals),
-            "not a coupling matrix: value",
+            (*self.entries, self.marginals), "not a coupling matrix: value"
         )
-        n = len(self.entries)
-        if len(self.row_marginals) != n or len(self.col_marginals) != n:
-            raise ValueError("marginal vectors must match matrix size")
-        if sum(self.row_marginals) != 1 or sum(self.col_marginals) != 1:
+        if len(self.marginals) != len(self.entries):
+            raise ValueError("marginal vector must match matrix size")
+        if sum(self.marginals) != 1:
             raise ValueError("marginals must sum to 1")
-        violation = _sums_violation(
-            self.entries, self.row_marginals, self.col_marginals
-        )
+        violation = _sums_violation(self.entries, self.marginals)
         if violation:
             raise ValueError(f"not a coupling matrix: {violation}")
 
@@ -240,7 +235,4 @@ def compress(K: MarkovMatrix, partition: "Partition") -> CouplingMatrix:
             total = sum(K.entries[y][x] for x in cells[i] for y in cells[j])
             row.append(Fraction(total) / N)
         rows.append(tuple(row))
-    masses = partition.masses
-    return CouplingMatrix(
-        entries=tuple(rows), row_marginals=masses, col_marginals=masses
-    )
+    return CouplingMatrix(entries=tuple(rows), marginals=partition.masses)

@@ -3,20 +3,23 @@
 Covers: exact and float idempotency tests, block-averaging (conditional
 expectation) idempotents, the two-sided order p <= q and the equivalence of
 its one-sided conditions, least idempotents of singly generated closed
-convex subsemigroups via averaged powers, conjugation by automorphisms,
-and the classification of permutation-conjugation-invariant idempotents,
-which for every size is exactly {identity, projection onto constants}.
+convex subsemigroups via averaged powers, the idempotent of the powers'
+closure, conjugation by automorphisms, and the classification of
+permutation-conjugation-invariant idempotents, which for every size is
+exactly {identity, projection onto constants}.
 
 Averaging runs in floating point with a stopping rule based on successive
 window averages; the window average of powers K^{m+1}..K^{2m} converges
 geometrically whenever K has a spectral gap and terminates exactly for
 periodic K once the window length, a power of 2, is divisible by the
-period; other periods run out the power budget.  The exact limit, for
-every doubly stochastic K and any period, is the block average over the
-classes of supp K; the float limit is named by comparing it with that.
+period; other periods run out the power budget.  One walk over supp K gives
+both exact objects, for every doubly stochastic K: the averaged limit p
+(block average over its classes, which names the float limit) and the
+power idempotent E (over their cyclic subclasses), with p <= E.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,14 +91,6 @@ def order_check(p: MarkovMatrix, q: MarkovMatrix) -> OrderCheck:
     )
 
 
-def order_check_float(p: np.ndarray, q: np.ndarray, tol: float) -> OrderCheck:
-    """Float-mode absorption tests with max-entry tolerance."""
-    return OrderCheck(
-        pq_eq_p=float(np.max(np.abs(p @ q - p))) < tol,
-        qp_eq_p=float(np.max(np.abs(q @ p - p))) < tol,
-    )
-
-
 class CesaroConvergenceError(RuntimeError):
     def __init__(self, last_defect: float, iterations: int):
         self.last_defect = last_defect
@@ -117,24 +112,36 @@ class IdempotentReport:
     absorb_right: float  # max-entry norm of Kp - p
     classification: str  # identity | constants_projection | block_average | other
     iterations: int
-    sampled_idempotent_powers: tuple[int, ...]
 
 
-def _support_labels(K: MarkovMatrix) -> list[int]:
-    """Labels 1..c of the connected components of supp K: x ~ y when K[y][x] != 0."""
+def _support_classes(K: MarkovMatrix) -> tuple[list[int], list[int]]:
+    """Labels of the classes of supp K and of their cyclic subclasses.
+
+    One breadth-first walk over x -> y when K[y][x] != 0 from each atom not
+    yet reached, in index order, labels the c-th root's class c; that class
+    is closed and strongly connected (see `cesaro_limit_exact`).  Its period
+    d is the gcd of level[x] + 1 - level[y] over its edges, and a cyclic
+    subclass is its atoms of one level mod d, numbered in atom order.
+    """
     N = K.size
     labels = [0] * N
+    level = [0] * N
+    period = {}
     for root in range(N):
-        if not labels[root]:
-            labels[root] = max(labels) + 1
-            stack = [root]
-            while stack:
-                y = stack.pop()
-                for x in range(N):
-                    if not labels[x] and (K.entries[y][x] or K.entries[x][y]):
-                        labels[x] = labels[root]
-                        stack.append(x)
-    return labels
+        if labels[root]:
+            continue
+        c = labels[root] = max(labels) + 1
+        walk = [root]
+        for x in walk:  # grows as it goes: breadth first
+            for y in range(N):
+                if K.entries[y][x] and not labels[y]:
+                    labels[y], level[y] = c, level[x] + 1
+                    walk.append(y)
+        period[c] = math.gcd(*(level[x] + 1 - level[y]
+                               for x in walk for y in range(N) if K.entries[y][x]))
+    ids: dict[tuple[int, int], int] = {}
+    return labels, [ids.setdefault((c, level[x] % period[c]), len(ids) + 1)
+                    for x, c in enumerate(labels)]
 
 
 def cesaro_limit_exact(K: MarkovMatrix) -> MarkovMatrix:
@@ -146,7 +153,15 @@ def cesaro_limit_exact(K: MarkovMatrix) -> MarkovMatrix:
     doubly stochastic K, so no atom is transient, every communicating class
     is closed, and x reaches y exactly when y reaches x.
     """
-    return block_average(make_partition(AtomSpace(K.size), _support_labels(K)))
+    return block_average(make_partition(AtomSpace(K.size), _support_classes(K)[0]))
+
+
+def power_idempotent_exact(K: MarkovMatrix) -> MarkovMatrix:
+    """The one idempotent E among the limits of K's powers: the block average
+    over the cyclic subclasses of supp K, which K shifts round each class.
+    K^m E = E when m is a multiple of every class's period; p <= E for p
+    the Cesaro limit."""
+    return block_average(make_partition(AtomSpace(K.size), _support_classes(K)[1]))
 
 
 #: Longest power of K that `cesaro_idempotent` averages before giving up.
@@ -164,10 +179,9 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
     until two successive window averages agree to tol and the limit
     candidate is idempotent and absorbing to tol.  Raises
     `CesaroConvergenceError` once the next window would pass power
-    `CESARO_MAX_POWERS`.  Records which sampled power indices were
-    themselves near-idempotent; the detected limit must sit below all of
-    them in the idempotent order (checked by the caller / the suite).
-    tol must be positive and finite.
+    `CESARO_MAX_POWERS`.  The limit lies below `power_idempotent_exact(K)`,
+    the one idempotent among the limits of the powers.  tol must be
+    positive and finite.
 
     The classification names `cesaro_limit_exact(K)` by the classes of supp
     K: `identity` (all singletons), `constants_projection` (one class) or
@@ -184,15 +198,12 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
     m = 1
     cum_at_m = cum.copy()
     prev_window = None
-    sampled: list[int] = []
     last_defect = float("inf")
     while 2 * m <= CESARO_MAX_POWERS:
         while k < 2 * m:
             power = power @ A
             cum = cum + power
             k += 1
-        if idempotency_defect(power) < tol:
-            sampled.append(k)
         window = (cum - cum_at_m) / m
         if prev_window is not None:
             drift = float(np.max(np.abs(window - prev_window)))
@@ -201,7 +212,7 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
             right = float(np.max(np.abs(A @ window - window)))
             last_defect = defect
             if drift < tol and defect < tol and left < tol and right < tol:
-                labels = np.array(_support_labels(K))
+                labels = np.array(_support_classes(K)[0])
                 same = labels[:, None] == labels
                 exact = same / same.sum(axis=1, keepdims=True)
                 if float(np.max(np.abs(window - exact))) >= max(tol, 1e-6):
@@ -219,7 +230,6 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
                     absorb_right=right,
                     classification=classification,
                     iterations=k,
-                    sampled_idempotent_powers=tuple(sampled),
                 )
         prev_window = window
         cum_at_m = cum.copy()

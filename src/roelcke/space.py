@@ -187,7 +187,4 @@ def joint_matrix(T: Automorphism, partition: Partition) -> markov.CouplingMatrix
     entries = tuple(
         tuple(Fraction(c, N) for c in row) for row in counts
     )
-    masses = partition.masses
-    return markov.CouplingMatrix(
-        entries=entries, row_marginals=masses, col_marginals=masses
-    )
+    return markov.CouplingMatrix(entries=entries, marginals=partition.masses)

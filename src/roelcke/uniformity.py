@@ -30,20 +30,14 @@ from roelcke.space import Automorphism, Partition, compose, joint_counts
 def u_deviation(T: Automorphism, partition: Partition) -> Fraction:
     """max over cells of mu(A_i symmetric-difference T^{-1}A_i).
 
-    Zero exactly when T maps every cell onto itself.
+    Read off the joint table c: T sends |A_i| - c_ii atoms of A_i out of
+    A_i, and as many atoms from outside into it, since |T^{-1}A_i| = |A_i|.
+    So the deviation is 2 * max_i (|A_i| - c_ii) / N, and deviation * N is
+    even.  Zero exactly when T maps every cell onto itself.
     """
-    N = partition.space.atom_count
-    if T.atom_count != N:
-        raise ValueError("automorphism and partition live on different spaces")
-    counts = [0] * partition.cell_count
-    labels = partition.labels
-    for x, y in enumerate(T.forward):
-        i, j = labels[x] - 1, labels[y] - 1
-        if i != j:
-            # x is in A_i but not in T^{-1}A_i, and in T^{-1}A_j but not A_j.
-            counts[i] += 1
-            counts[j] += 1
-    return Fraction(max(counts), N)
+    counts = joint_counts(T, partition)
+    moved = max(size - counts[i][i] for i, size in enumerate(partition.cell_sizes))
+    return Fraction(2 * moved, partition.space.atom_count)
 
 
 def w_distance(S: Automorphism, T: Automorphism, partition: Partition) -> Fraction:
@@ -83,7 +77,10 @@ def roelcke_related(
 
 
 class NetInfeasibleError(ValueError):
-    """Raised when no coupling grid realizable on the atoms exists."""
+    """Raised when the net's grid has more points than `NET_GRID_CAP`.
+
+    The grid is never empty: the step divides every cell size, so the
+    diagonal table, the identity's, is on it."""
 
 
 def _grid_rows(total: int, caps: list[int], step: int) -> Iterator[list[int]]:
@@ -150,10 +147,6 @@ def precompactness_net(partition: Partition, epsilon: Fraction) -> list[Automorp
     grids = list(
         itertools.islice(_enumerate_grid(sizes, sizes, step), NET_GRID_CAP + 1)
     )
-    if not grids:
-        raise NetInfeasibleError(
-            f"no coupling with margins {sizes} on step-{step} grid"
-        )
     if len(grids) > NET_GRID_CAP:
         raise NetInfeasibleError(f"grid has more points than the cap {NET_GRID_CAP}")
     return [density._realize_counts(counts, partition) for counts in grids]

@@ -23,7 +23,7 @@ from roelcke.sampling import (
     random_realizable_coupling,
     random_small_deviation,
 )
-from roelcke.semigroup import CesaroConvergenceError, order_check_float
+from roelcke.semigroup import CesaroConvergenceError
 from roelcke.space import AtomSpace
 
 
@@ -262,8 +262,7 @@ def test_06_semigroup_hypothesis():
 
 def _limit_checks(K, rep):
     """(match, ok) for a converged report: match says the float limit is
-    the exact one; ok adds idempotency, absorption and the order below
-    every sampled near-idempotent power."""
+    the exact one; ok adds idempotency and absorption."""
     exact = np.array([[float(v) for v in row]
                       for row in rk.cesaro_limit_exact(K).entries])
     match = float(np.max(np.abs(rep.matrix - exact))) < 1e-6
@@ -273,13 +272,33 @@ def _limit_checks(K, rep):
         and rep.absorb_left < 1e-8
         and rep.absorb_right < 1e-8
     )
-    A = np.array([[float(v) for v in row] for row in K.entries])
-    for m in rep.sampled_idempotent_powers:
-        q = np.linalg.matrix_power(A, m)
-        # Accumulated float error over m multiplications; see ledger.
-        if not order_check_float(rep.matrix, q, 1e-6).below:
-            ok = False
     return match, ok
+
+
+def _power_checks(K):
+    """(ok, E != p, L) in exact arithmetic, for E the power idempotent and
+    p the exact Cesaro limit.  ok says p is idempotent and absorbs K, E is
+    idempotent, K^L E = E K^L = E for L the least such m >= 1, p <= E, and
+    E = K^L when K is a permutation matrix."""
+    p = rk.cesaro_limit_exact(K)
+    E = rk.power_idempotent_exact(K)
+    if not (rk.is_idempotent(p) and rk.is_idempotent(E)
+            and rk.product(p, K).entries == p.entries
+            and rk.product(K, p).entries == p.entries
+            and rk.order_check(p, E).below):
+        return False, p != E, None
+    # L is the lcm of the class periods, which sum to at most N, so it is
+    # at most N*N for N <= 10.
+    KmE, L = rk.product(K, E), 1
+    while KmE != E and L < K.size ** 2:
+        KmE, L = rk.product(K, KmE), L + 1
+    KL = K
+    for _ in range(L - 1):
+        KL = rk.product(KL, K)
+    permutation = all(v in (0, 1) for row in K.entries for v in row)
+    ok = (KmE == E and rk.product(E, KL) == E
+          and (KL == E or not permutation))
+    return ok, p != E, L
 
 
 def _reducible_and_periodic(rng):
@@ -317,9 +336,11 @@ def test_07_least_idempotent():
     worst_defect = 0.0
     matched = 0
     classes = Counter()
+    inputs = []
     for t in range(trials):
         N = 4 + t % 7  # sizes 4..10
         K = random_markov(rng, N, terms=3)
+        inputs.append(K)
         try:
             rep = rk.cesaro_idempotent(K, tol=1e-8)
         except Exception:
@@ -332,23 +353,30 @@ def test_07_least_idempotent():
             violations += 1
         worst_defect = max(worst_defect, rep.idempotency_defect)
     # Added trials, after the 100 above; the ACCEPTANCE line describes
-    # those 100.  Where the float loop gives up, the exact limit must
-    # still be idempotent and absorb K.
+    # those 100.  Where the float loop gives up, the exact checks below
+    # still run.
     added = _reducible_and_periodic(rng)
+    inputs += added
     added_classes = Counter()
     for K in added:
         try:
             rep = rk.cesaro_idempotent(K, tol=1e-8)
         except CesaroConvergenceError:
-            p = rk.cesaro_limit_exact(K)
-            if not (rk.is_idempotent(p)
-                    and rk.product(p, K).entries == p.entries
-                    and rk.product(K, p).entries == p.entries):
-                violations += 1
             added_classes["diverged"] += 1
             continue
         _, ok = _limit_checks(K, rep)
         added_classes[rep.classification] += 1
+        if not ok:
+            violations += 1
+    exact_ok = 0
+    distinct = 0
+    powers = Counter()
+    for K in inputs:
+        ok, differs, L = _power_checks(K)
+        exact_ok += ok
+        distinct += differs
+        if L:
+            powers[L] += 1
         if not ok:
             violations += 1
     regime(7, "least idempotent",
@@ -357,10 +385,14 @@ def test_07_least_idempotent():
            + f"; added trials={len(added)} "
            + " ".join(f"{name}={count}"
                       for name, count in sorted(added_classes.items())))
+    regime(7, "power idempotent",
+           f"exact checks={exact_ok}/{len(inputs)} E!=p={distinct} L: "
+           + " ".join(f"{L}={count}" for L, count in sorted(powers.items())))
     reached = (
         added_classes["block_average"] > 0
         and added_classes["identity"] > 0
         and added_classes["other"] == 0
+        and distinct > 0
     )
     report(7, "least idempotent", violations == 0 and reached,
            f"trials={trials} max defect={worst_defect:.2e}")

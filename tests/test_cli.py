@@ -73,8 +73,7 @@ class TestSuites:
         def missed(K, tol):
             return semigroup.IdempotentReport(
                 matrix=np.eye(K.size), idempotency_defect=0.0, absorb_left=0.0,
-                absorb_right=0.0, classification="other", iterations=2,
-                sampled_idempotent_powers=())
+                absorb_right=0.0, classification="other", iterations=2)
 
         monkeypatch.setattr(semigroup, "cesaro_idempotent", missed)
         report = run_suite(config(suite="cesaro", atoms=6, trials=2, tol=1e-8))

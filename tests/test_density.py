@@ -18,8 +18,7 @@ from roelcke.space import AtomSpace
 def coupling(rows, masses):
     return CouplingMatrix(
         entries=tuple(tuple(Fraction(v) for v in row) for row in rows),
-        row_marginals=tuple(masses),
-        col_marginals=tuple(masses),
+        marginals=tuple(masses),
     )
 
 
@@ -39,7 +38,7 @@ def blended_coupling(rng, N, n):
 
 def assert_controlled_rounding(R, C, N):
     """R is C moved entrywise to an adjacent multiple of 1/N, same marginals."""
-    assert (R.row_marginals, R.col_marginals) == (C.row_marginals, C.col_marginals)
+    assert R.marginals == C.marginals
     for r_row, c_row in zip(R.entries, C.entries):
         for r, c in zip(r_row, c_row):
             assert (r * N).denominator == 1
@@ -148,7 +147,7 @@ class TestRoundToGrid:
         # screen itself never reach it: CouplingMatrix refuses them.
         masses = (Fraction(1, 2), Fraction(1, 2))
         with pytest.raises(ValueError, match=match):
-            CouplingMatrix(tuple(map(tuple, rows)), masses, masses)
+            CouplingMatrix(tuple(map(tuple, rows)), masses)
 
 
 class TestBirkhoff:

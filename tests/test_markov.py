@@ -74,7 +74,19 @@ class TestInputRegime:
     ], ids=["float-entries", "float-marginals", "bool-entries", "bool-marginals"])
     def test_coupling_inexact_values_rejected(self, entries, marginals):
         with pytest.raises(ValueError, match="not an int or a Fraction"):
-            CouplingMatrix(entries, marginals, marginals)
+            CouplingMatrix(entries, marginals)
+
+    @pytest.mark.parametrize("entries, marginals, match", [
+        (((Fraction(1, 2), 0), (0, Fraction(1, 2))), (1,), "match matrix size"),
+        (((Fraction(1, 2), 0), (0, Fraction(1, 4))), (Fraction(1, 2), Fraction(1, 4)),
+         "sum to 1"),
+        (((Fraction(1, 2), 0), (Fraction(1, 2), 0)), (Fraction(1, 2), Fraction(1, 2)),
+         "column 0 sums to 1"),
+    ], ids=["short-marginals", "marginals-not-1", "column-off-marginal"])
+    def test_coupling_marginals_checked(self, entries, marginals, match):
+        # One vector is both margins: every row and every column sums to it.
+        with pytest.raises(ValueError, match=match):
+            CouplingMatrix(entries, marginals)
 
     def test_size_zero_rejected(self):
         with pytest.raises(ValueError, match="size 0"):

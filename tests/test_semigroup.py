@@ -15,11 +15,7 @@ from roelcke.sampling import (
     random_partition,
     random_permutation,
 )
-from roelcke.semigroup import (
-    CESARO_MAX_POWERS,
-    CesaroConvergenceError,
-    order_check_float,
-)
+from roelcke.semigroup import CESARO_MAX_POWERS, CesaroConvergenceError
 from roelcke.space import AtomSpace
 
 
@@ -167,11 +163,9 @@ class TestCesaro:
             assert rep.idempotency_defect < 1e-8
             assert rep.absorb_left < 1e-8
             assert rep.absorb_right < 1e-8
-            # Below every sampled near-idempotent power.
-            A = np.array([[float(v) for v in row] for row in K.entries])
-            for m in rep.sampled_idempotent_powers:
-                q = np.linalg.matrix_power(A, m)
-                assert order_check_float(rep.matrix, q, 1e-6).below
+            # Below the power idempotent, exactly.
+            p = rk.cesaro_limit_exact(K)
+            assert rk.order_check(p, rk.power_idempotent_exact(K)).below
 
     def test_nonconvergent_raises(self):
         # No float window average agrees with the next to 1e-30, so the
@@ -259,6 +253,69 @@ class TestCesaro:
         assert counts["block_average"] > 0
         assert counts["constants_projection"] > 0
         assert counts["diverged"] == 3
+
+
+def block_cycle(weights):
+    """K on 2*len(weights) atoms moving pair r onto pair r + 1 (mod the
+    count) through the doubly stochastic 2x2 [[w, 1-w], [1-w, w]]."""
+    d = len(weights)
+    rows = [[Fraction(0)] * (2 * d) for _ in range(2 * d)]
+    for r, w in enumerate(weights):
+        s = (r + 1) % d
+        for a in range(2):
+            for b in range(2):
+                rows[2 * s + b][2 * r + a] = w if a == b else 1 - w
+    return rk.MarkovMatrix.from_rows(rows)
+
+
+class TestPowerIdempotent:
+    def test_permutation_gives_identity(self):
+        rng = Random(6)
+        for _ in range(10):
+            U = rk.koopman_matrix(random_permutation(rng, 7))
+            E = rk.power_idempotent_exact(U)
+            assert E.entries == rk.MarkovMatrix.identity(7).entries
+            assert rk.order_check(rk.cesaro_limit_exact(U), E).below
+
+    def test_period_two_blocks(self):
+        K = block_cycle([Fraction(1, 2), Fraction(1, 2)])
+        halves = rk.block_average(rk.make_partition(AtomSpace(4), [1, 1, 2, 2]))
+        assert rk.power_idempotent_exact(K).entries == halves.entries
+        assert rk.product(K, K).entries == halves.entries
+        assert rk.cesaro_limit_exact(K).entries == rk.MarkovMatrix.uniform(4).entries
+
+    def test_powers_tend_to_it(self):
+        # Period 3, with a mixing step inside each pair: K^(3m) approaches
+        # E geometrically, while K^(3m+1) stays a block-averaged shift.
+        K = block_cycle([Fraction(3, 4), Fraction(2, 3), Fraction(1, 5)])
+        E = rk.power_idempotent_exact(K)
+        assert E.entries == rk.block_average(
+            rk.make_partition(AtomSpace(6), [1, 1, 2, 2, 3, 3])).entries
+        A = np.array([[float(v) for v in row] for row in K.entries])
+        expected = np.array([[float(v) for v in row] for row in E.entries])
+        assert np.max(np.abs(np.linalg.matrix_power(A, 90) - expected)) < 1e-9
+        assert np.max(np.abs(np.linalg.matrix_power(A, 91) - expected)) > 0.4
+
+    def test_aperiodic_equals_cesaro_limit(self):
+        rng = Random(7)
+        for _ in range(10):
+            K = random_markov(rng, 6, terms=3)
+            assert rk.power_idempotent_exact(K) == rk.cesaro_limit_exact(K)
+
+    def test_classes_numbered_first_root_first(self):
+        # Classes {0} and {1, 2, 3, 4}; the second alternates between its
+        # subclasses {1, 3} and {2, 4}.
+        h = Fraction(1, 2)
+        K = rk.MarkovMatrix.from_rows([
+            [1, 0, 0, 0, 0],
+            [0, 0, h, 0, h],
+            [0, h, 0, h, 0],
+            [0, 0, h, 0, h],
+            [0, h, 0, h, 0],
+        ])
+        labels, sublabels = semigroup._support_classes(K)
+        assert labels == [1, 2, 2, 2, 2]
+        assert sublabels == [1, 2, 3, 2, 3]
 
 
 class TestClassify:

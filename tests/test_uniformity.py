@@ -44,6 +44,20 @@ class TestUDeviation:
             assert rk.u_deviation(T, alpha) == rk.u_deviation(rk.inverse(T), alpha)
 
 
+    def test_matches_set_oracle(self):
+        # max_i mu(A_i symm-diff T^{-1}A_i), straight from the sets.
+        rng = Random(4)
+        for _ in range(300):
+            N = rng.randint(1, 24)
+            alpha = random_partition(rng, N, rng.randint(1, N))
+            T = random_permutation(rng, N)
+            oracle = max(
+                len(set(cell) ^ {x for x in range(N) if T(x) in cell})
+                for cell in alpha.cells
+            )
+            assert rk.u_deviation(T, alpha) == Fraction(oracle, N)
+
+
 class TestWDistance:
     def test_reflexive(self):
         T = rk.swap(6, 0, 5)
