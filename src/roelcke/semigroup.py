@@ -284,16 +284,25 @@ def _pair_orbits(N: int) -> list[list[tuple[int, int]]]:
     return orbits
 
 
+#: Largest atom count `invariant_idempotent_classify` accepts.
+CLASSIFY_MAX_ATOMS = 64
+
+
 def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
     """All Markov idempotents fixed by conjugation with every permutation.
 
     Solves the commutant symbolically: invariance forces the matrix to be
     constant on index-pair orbits (diagonal and off-diagonal for N >= 2),
-    then idempotency, stochasticity and nonnegativity cut the parameters
-    down.  The result is exactly {identity, all-1/N} for every N >= 2.
+    one unknown per orbit.  It also makes each equation constant on its
+    orbit: a permutation taking (y, x) to (y', x') takes row y to row y',
+    column x to column x' and entry (y, x) of K^2 - K to entry (y', x').  So
+    three equations at each orbit's first pair (y, x), row y and column x
+    summing to 1 and (K^2)[y][x] = K[y][x], have the same solutions as the
+    equations for every row, column and entry.  Nonnegativity then leaves
+    exactly {identity, all-1/N}, for 2 <= N <= CLASSIFY_MAX_ATOMS.
     """
-    if not 2 <= N <= 6:
-        raise ValueError("exhaustive/symbolic regime is 2 <= N <= 6")
+    if not 2 <= N <= CLASSIFY_MAX_ATOMS:
+        raise ValueError(f"symbolic regime is 2 <= N <= {CLASSIFY_MAX_ATOMS}")
     orbits = _pair_orbits(N)
     vars_ = sympy.symbols(f"v0:{len(orbits)}", real=True)
     entry = [[None] * N for _ in range(N)]
@@ -301,49 +310,20 @@ def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
         for y, x in orbit:
             entry[y][x] = v
 
-    eqs = set()
-    # One row-sum equation and one idempotency equation per orbit
-    # representative; the orbit structure makes the rest redundant, but
-    # adding them all is cheap and safe for small N.
-    for y in range(N):
-        eqs.add(sympy.Eq(sum(entry[y][x] for x in range(N)), 1))
-        eqs.add(sympy.Eq(sum(entry[x][y] for x in range(N)), 1))
-    for y in range(N):
-        for x in range(N):
-            eqs.add(
-                sympy.Eq(
-                    sum(entry[y][k] * entry[k][x] for k in range(N)),
-                    entry[y][x],
-                )
-            )
-    solutions = sympy.solve(list(eqs), list(vars_), dict=True)
-
-    orbit_index = {}
-    for idx, orbit in enumerate(orbits):
-        for pair in orbit:
-            orbit_index[pair] = idx
-
+    eqs = []
+    for y, x in (orbit[0] for orbit in orbits):
+        eqs += [
+            sympy.Eq(sum(entry[y]), 1),
+            sympy.Eq(sum(row[x] for row in entry), 1),
+            sympy.Eq(sum(entry[y][k] * entry[k][x] for k in range(N)), entry[y][x]),
+        ]
     out = []
-    seen_entries = set()
-    for sol in solutions:
-        vals = [sympy.simplify(sol.get(v, v)) for v in vars_]
-        if any(not val.is_number for val in vals):
+    for sol in sympy.solve(eqs, vars_, dict=True):
+        value = {v: Fraction(r.p, r.q)
+                 for v, r in zip(vars_, (sympy.Rational(sol[v]) for v in vars_))}
+        if any(f < 0 for f in value.values()):
             continue
-        try:
-            fracs = [Fraction(int(sympy.Rational(v).p), int(sympy.Rational(v).q))
-                     for v in vals]
-        except (TypeError, ValueError):
-            continue
-        if any(f < 0 for f in fracs):
-            continue
-        rows = tuple(
-            tuple(fracs[orbit_index[(y, x)]] for x in range(N))
-            for y in range(N)
-        )
-        if rows in seen_entries:
-            continue
-        seen_entries.add(rows)
-        candidate = MarkovMatrix(rows)
+        candidate = MarkovMatrix(tuple(tuple(value[v] for v in row) for row in entry))
         if is_idempotent(candidate):
             out.append(candidate)
     out.sort(key=lambda mat: mat.entries[0][0], reverse=True)

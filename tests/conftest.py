@@ -1,10 +1,11 @@
 """Shared test plumbing: surface acceptance criterion results in the summary,
-and measure how well the precompactness net covers the joint tables."""
+measure how well the precompactness net covers the joint tables, and check
+the group law behind the coefficient Gram matrices."""
 from fractions import Fraction
 
 import roelcke as rk
 from roelcke import density, uniformity
-from roelcke.space import joint_counts
+from roelcke.space import compose, inverse, joint_counts
 
 ACCEPTANCE_LINES = []
 # Counters that show a criterion reached its regime, printed after the
@@ -81,3 +82,16 @@ def net_coverage(partition, epsilon) -> list[Fraction]:
         check(T)
         ratios.append(min(rk.w_distance(T, c, partition) for c in net) / epsilon)
     return ratios
+
+
+def group_law_holds(f, elements) -> bool:
+    """Exact check that G[a][b] = <U_{a^-1 b} f, f>, the entry the positive
+    definiteness claim is about, equals the Gram entry <U_a f, U_b f> that
+    `wap.gram_psd_check` builds, for every pair of elements.  The two agree
+    for every f only when `translate` is a unitary group action."""
+    translates = [f.translate(a) for a in elements]
+    return all(
+        f.translate(compose(inverse(a), b)).inner(f) == ta.inner(tb)
+        for a, ta in zip(elements, translates)
+        for b, tb in zip(elements, translates)
+    )

@@ -23,7 +23,7 @@ from roelcke.sampling import (
     random_realizable_coupling,
     random_small_deviation,
 )
-from roelcke.semigroup import CesaroConvergenceError
+from roelcke.semigroup import CesaroConvergenceError, _pair_orbits
 from roelcke.space import AtomSpace
 
 
@@ -167,6 +167,7 @@ def test_04_density_realization():
     # read off the tables; M x M Koopman matrices would take minutes.
     off_grid = 0
     worst = Fraction(0)
+    worst_gap = dict.fromkeys((1, 4, 16, 64), Fraction(0))
     for _ in range(200):
         N, n = rng.randrange(4, 9), rng.randrange(2, 5)
         alpha = random_partition(rng, N, n)
@@ -176,24 +177,36 @@ def test_04_density_realization():
         g = [Fraction(rng.randrange(-8, 9), 8) for _ in range(n)]
         f_alpha, g_alpha = (rk.ObservableVector(tuple(h[a - 1] for a in alpha.labels))
                             for h in (f, g))
-        assert rk.matrix_coefficient(K, f_alpha, g_alpha) == sum(
+        coefficient = rk.matrix_coefficient(K, f_alpha, g_alpha)
+        assert coefficient == sum(
             C.entries[i][j] * f[i] * g[j] for i in range(n) for j in range(n)
         )
-        for r in (1, 4, 16, 64):
+        weight = sum(abs(f[i] * g[j]) for i in range(n) for j in range(n))
+        for r in worst_gap:
             M = r * N
             refined = rk.make_partition(
                 AtomSpace(M), [a for a in alpha.labels for _ in range(r)]
             )
             R = rk.round_to_grid(C, M)
             T = rk.realize(R, refined)
-            assert rk.joint_matrix(T, refined).entries == R.entries
+            J = rk.joint_matrix(T, refined).entries
+            assert J == R.entries
             error = max(abs(x - y) for rr, rc in zip(R.entries, C.entries)
                         for x, y in zip(rr, rc))
             assert error * M < 1, f"entry error {error * M}/M at M={M}"
-            off_grid += any((v * M).denominator != 1 for row in C.entries for v in row)
+            if any((v * M).denominator != 1 for row in C.entries for v in row):
+                off_grid += 1
+                # T's own coefficient on the same observables, off its table.
+                gap = abs(sum(J[i][j] * f[i] * g[j]
+                              for i in range(n) for j in range(n)) - coefficient)
+                assert gap <= weight / M, f"coefficient gap {gap} at M={M}"
+                worst_gap[r] = max(worst_gap[r], gap)
             worst = max(worst, error * M)
     regime(4, "density realization",
            f"off-grid trials={off_grid}/800 worst error*M={float(worst):.3f}")
+    regime(4, "density coefficients",
+           "worst |<T f, g> - <K f, g>| off grid: "
+           + " ".join(f"r={r} {float(gap):.4f}" for r, gap in worst_gap.items()))
     assert off_grid > 0
 
 
@@ -398,16 +411,24 @@ def test_07_least_idempotent():
            f"trials={trials} max defect={worst_defect:.2e}")
 
 
+def _classifies_to_identity_and_uniform(N):
+    return [m.entries for m in rk.invariant_idempotent_classify(N)] == [
+        rk.MarkovMatrix.identity(N).entries,
+        rk.MarkovMatrix.uniform(N).entries,
+    ]
+
+
 def test_08_dichotomy():
-    ok = True
-    for N in range(2, 7):
-        found = rk.invariant_idempotent_classify(N)
-        if [m.entries for m in found] != [
-            rk.MarkovMatrix.identity(N).entries,
-            rk.MarkovMatrix.uniform(N).entries,
-        ]:
-            ok = False
+    ok = all(_classifies_to_identity_and_uniform(N) for N in range(2, 7))
     report(8, "invariant idempotent dichotomy", ok, "N=2..6 -> {I, J/N}")
+    # Added sizes, up to the cap; the system has three equations per orbit.
+    orbits = {N: len(_pair_orbits(N)) for N in (7, 8, 12, 16, 32, 64)}
+    for N in orbits:
+        assert _classifies_to_identity_and_uniform(N), N
+    regime(8, "invariant idempotent dichotomy",
+           "N (pair orbits)=" + " ".join(f"{N} ({k})" for N, k in orbits.items())
+           + " -> {I, J/N}")
+    assert set(orbits.values()) == {2}  # S_N is 2-transitive: span{I, J}
 
 
 def test_09_positive_definiteness():
@@ -415,6 +436,7 @@ def test_09_positive_definiteness():
     trials = 100
     violations = 0
     worst = 0.0
+    lawful = 0
     for _ in range(trials):
         f = random_observable(rng, 32)
         elements = [random_permutation(rng, 32) for _ in range(10)]
@@ -422,8 +444,12 @@ def test_09_positive_definiteness():
         if not ok:
             violations += 1
         worst = min(worst, min_eig)
+        lawful += conftest.group_law_holds(f, elements)
     report(9, "positive definiteness", violations == 0,
            f"trials={trials} min eigenvalue={worst:.2e} (>= -1e-9)")
+    regime(9, "positive definiteness",
+           f"group law <U_(a^-1 b) f, f> = <U_a f, U_b f> exact: {lawful}/{trials}")
+    assert lawful == trials
 
 
 def test_10_roelcke_modulus():

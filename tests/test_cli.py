@@ -58,6 +58,13 @@ class TestSuites:
         assert report.violations == 0
         assert report.records[0].observed["count"] == 2
 
+    def test_dichotomy_default_atoms(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["--suite", "dichotomy", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["atoms"] == 16
+        assert report["records"][0]["observed"] == {"count": 2, "expected_pair": True}
+
     def test_all_suites_run(self):
         for suite in ("realize", "birkhoff", "psd", "modulus", "net"):
             report = run_suite(config(suite=suite, trials=3))
@@ -189,13 +196,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["--suite", "forward", "--atoms", "-3", "--cells", "-5"],
         ["--suite", "forward", "--cells", "0"],
-        ["--suite", "dichotomy"],  # classifies only up to 6 atoms
+        ["--suite", "dichotomy", "--atoms", "65"],  # classifies up to 64 atoms
         ["--suite", "dichotomy", "--atoms", "1", "--cells", "1"],  # I = J at N = 1
         ["--suite", "cesaro", "--tol", "0"],
         ["--suite", "cesaro", "--tol", "-1"],
         ["--suite", "cesaro", "--tol", "nan"],
         ["--suite", "realize", "--format", "csv"],  # csv is written only to --out
-    ], ids=["negative-sizes", "zero-cells", "dichotomy-16-atoms",
+    ], ids=["negative-sizes", "zero-cells", "dichotomy-65-atoms",
             "dichotomy-1-atom", "tol-zero", "tol-negative", "tol-nan",
             "csv-without-out"])
     def test_two_out_of_regime(self, argv, capsys):

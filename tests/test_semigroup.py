@@ -319,13 +319,22 @@ class TestPowerIdempotent:
 
 
 class TestClassify:
-    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 7, 8, 12, 16, 32, 64])
     def test_exactly_two(self, N):
         found = rk.invariant_idempotent_classify(N)
         assert [m.entries for m in found] == [
             rk.MarkovMatrix.identity(N).entries,
             rk.MarkovMatrix.uniform(N).entries,
         ]
+
+    @pytest.mark.parametrize("N", [1, semigroup.CLASSIFY_MAX_ATOMS + 1])
+    def test_regime_checked_before_orbit_walk(self, N, monkeypatch):
+        def walk(N):
+            raise AssertionError("orbit walk ran before the regime check")
+
+        monkeypatch.setattr(semigroup, "_pair_orbits", walk)
+        with pytest.raises(ValueError, match="regime"):
+            rk.invariant_idempotent_classify(N)
 
     def test_known_solutions_are_invariant(self):
         rng = Random(6)

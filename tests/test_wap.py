@@ -2,6 +2,7 @@
 from fractions import Fraction
 from random import Random
 
+import conftest
 import pytest
 
 import roelcke as rk
@@ -82,6 +83,21 @@ class TestGramPsd:
             elements = [random_permutation(rng, 32) for _ in range(10)]
             min_eig, ok = rk.gram_psd_check(f, elements)
             assert ok, min_eig
+
+    def test_group_law_rejects_a_non_action(self, monkeypatch):
+        # A translate that composes with a fixed shift is not a group
+        # action, yet its Gram matrix stays positive semidefinite; the exact
+        # group-law check of criterion 9 must fail on criterion 9's inputs.
+        shift = rk.Automorphism(tuple((x + 1) % 32 for x in range(32)))
+        lawful = ObservableVector.translate
+        monkeypatch.setattr(ObservableVector, "translate",
+                            lambda self, g: lawful(self, rk.compose(g, shift)))
+        rng = Random(20260830)
+        for _ in range(10):
+            f = random_observable(rng, 32)
+            elements = [random_permutation(rng, 32) for _ in range(10)]
+            assert rk.gram_psd_check(f, elements)[1]
+            assert not conftest.group_law_holds(f, elements)
 
 
 class TestModulus:
