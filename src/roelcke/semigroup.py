@@ -319,8 +319,7 @@ def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
         ]
     out = []
     for sol in sympy.solve(eqs, vars_, dict=True):
-        value = {v: Fraction(r.p, r.q)
-                 for v, r in zip(vars_, (sympy.Rational(sol[v]) for v in vars_))}
+        value = {v: Fraction(str(sympy.Rational(sol[v]))) for v in vars_}
         if any(f < 0 for f in value.values()):
             continue
         candidate = MarkovMatrix(tuple(tuple(value[v] for v in row) for row in entry))

@@ -1,9 +1,8 @@
 """Apply each mutant of tests/mutants.json to a copy of the tree and run its
 killers.
 
-    python tests/run_mutants.py                # every mutant, its killers only
-    python tests/run_mutants.py NAME ...       # the named mutants
-    python tests/run_mutants.py --all [NAME]   # the whole suite per mutant
+    python tests/run_mutants.py         # every mutant, its killers only
+    python tests/run_mutants.py --all   # every mutant, the whole suite each
 
 A mutant is one line of `src/` replaced by another.  It is killed when a
 test it names fails on the mutated copy; one that names no killer is a
@@ -66,10 +65,8 @@ def run(mutant: dict, whole_suite: bool) -> tuple[int, list[str]]:
 
 def main(argv: list[str]) -> int:
     whole_suite = "--all" in argv
-    names = [a for a in argv if a != "--all"]
-    mutants = [m for m in load() if not names or m["name"] in names]
     escaped = 0
-    for mutant in mutants:
+    for mutant in load():
         if not mutant["killers"] and not whole_suite:
             print(f"{mutant['name']:36s} known survivor (no killer named)")
             continue
