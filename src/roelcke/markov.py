@@ -10,18 +10,21 @@ transported from atom x to atom y.
 
 Entries are exact: each is an ``int`` (not a ``bool``) or a ``Fraction``,
 and both constructors reject anything else (a coupling's marginals too), so
-no float reaches the exact arithmetic.  `product` multiplies integers, not
-fractions: it scales each factor to integer numerators over the lcm of its
-denominators, takes integer dot products, and lets ``Fraction`` reduce each
-result once.  The entries it returns equal those of the schoolbook
-``Fraction`` product, in lowest terms, so equality stays structural.
-Python ints cannot overflow, whatever the denominators.  The speed rests on
-each factor's entries sharing a small common denominator (see `product`).
+no float reaches the exact arithmetic.  Each matrix also has one derived
+integer view, built on first use and cached like its idempotency verdict:
+D, the lcm of its denominators, and the numpy array A = D*K of integer
+numerators.  `product` multiplies two such arrays, in ``int64`` where an
+overflow bound is proved and in Python ints past it (see `product`), and
+lets ``Fraction`` reduce each result once.  The entries it returns equal
+those of the schoolbook ``Fraction`` product, in lowest terms, so equality
+stays structural.  The speed rests on each factor's entries sharing a small
+common denominator.
 
 Every product, like every other closed operation here, still passes through
-the validating constructor, which costs about as much as a 32x32 integer
-product.  Skipping it needs a trusted constructor and integer storage, and
-those come together (ROADMAP item 2).
+the validating constructor, which now costs more than the integer product.
+Skipping it needs a trusted constructor and integer storage (ROADMAP item
+2).  Those wait for the benchmark to stop keeping a record per item (item
+1): until then a faster `order_check` reads there as a rise in peak memory.
 """
 from __future__ import annotations
 
@@ -30,8 +33,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import lcm
-from operator import mul
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from roelcke.space import Partition
@@ -39,6 +43,12 @@ if TYPE_CHECKING:  # pragma: no cover
 Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
 _PARSED = {int, Fraction, str}  # what `MarkovMatrix.from_rows` converts
+_INT64_MAX = 2**63 - 1
+
+
+def _dtype(bound: int) -> type:
+    """Array type for integers in [0, bound]: int64 if bound fits, else int."""
+    return np.int64 if bound <= _INT64_MAX else object
 
 
 def _require_exact(rows: Rows, what: str) -> None:
@@ -128,39 +138,47 @@ class MarkovMatrix:
         dataclass leaves writable; it is no field, so ``==`` ignores it."""
         return product(self, self).entries == self.entries
 
+    @cached_property
+    def _numerators(self) -> tuple[np.ndarray, int]:
+        """(A, D): D is the lcm of the denominators and A = D*K the integer
+        numerators, each in [0, D].  Cached like `_idempotent`, and like it
+        no field, so ``==``, ``hash`` and ``repr`` ignore it."""
+        d = lcm(*(v.denominator for row in self.entries for v in row))
+        rows = [[v.numerator * (d // v.denominator) for v in row]
+                for row in self.entries]
+        return np.array(rows, dtype=_dtype(d)), d
+
 
 def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
     """Matrix product; Markov matrices are closed under it.
 
-    K1's rows become integer numerators over D1, the lcm of K1's
-    denominators, and K2's columns integer numerators over D2.  Entry
-    (y, x) is then one integer dot product over D1 * D2, reduced by
-    ``Fraction``, which equals the schoolbook sum of ``Fraction`` products.
-    The result is still validated by the constructor: the kernel is not
-    trusted to be closed on its own word.
+    With (A1, D1) and (A2, D2) the factors' cached integer views, entry
+    (y, x) is (A1 @ A2)[y][x] / (D1 * D2), reduced by ``Fraction``, which
+    equals the schoolbook sum of ``Fraction`` products.
+
+    The arrays are multiplied as ``int64`` when D1 * D2 <= 2**63 - 1, and
+    that cannot overflow: K1 and K2 are Markov, so A1 >= 0, each row of A1
+    sums to D1 and every entry of A2 is at most D2, and every partial sum
+    of (A1 @ A2)[y][x] lies in [0, D1 * D2], in any order of summation.  Past the bound they are
+    multiplied as Python ints, which cannot overflow; one expression serves
+    both.  The result is still validated by the constructor: the kernel is
+    not trusted to be closed on its own word.
 
     The gain assumes each factor's denominators share a small lcm, as they
     do for block averages (the lcm of the cell sizes) and for
     `random_markov` (one total per matrix).  Entries over many coprime
-    denominators push D1 towards their product, and the integer kernel can
-    then be slower than the schoolbook one, though its answer stays exact.
+    denominators push D1 towards their product, past the int64 bound, and
+    the integer kernel can then be slower than the schoolbook one, though
+    its answer stays exact.
     """
     if K1.size != K2.size:
         raise ValueError(f"size mismatch: {K1.size} vs {K2.size}")
-    rows, d1 = _scaled(K1.entries)
-    cols, d2 = _scaled(tuple(zip(*K2.entries)))
+    A1, d1 = K1._numerators
+    A2, d2 = K2._numerators
     d = d1 * d2
-    return MarkovMatrix(
-        tuple(
-            tuple(Fraction(sum(map(mul, row, col)), d) for col in cols) for row in rows
-        )
-    )
-
-
-def _scaled(vectors: Rows) -> tuple[list[list[int]], int]:
-    """Integer numerators of `vectors` over the lcm of their denominators."""
-    d = lcm(*(v.denominator for vec in vectors for v in vec))
-    return [[v.numerator * (d // v.denominator) for v in vec] for vec in vectors], d
+    dtype = _dtype(d)
+    rows = (A1.astype(dtype, copy=False) @ A2.astype(dtype, copy=False)).tolist()
+    return MarkovMatrix(tuple(tuple(Fraction(v, d) for v in row) for row in rows))
 
 
 def convex_combination(

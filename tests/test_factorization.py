@@ -102,6 +102,26 @@ def leftover_class(S, T, alpha):
     return ka, kb, leftover_key(S, paired, alpha), leftover_key(T, paired, alpha)
 
 
+def route_leftovers(U, V, alpha):
+    """U's leftover atoms, ascending, and the same atoms in cell-route order.
+
+    An atom x of A_i with U(x) in A_j is on route (i, j); pairing U's route
+    with V's, lowest atoms first, leaves over the atoms whose rank on the
+    route is at least V's count on it.
+    """
+    labels = alpha.labels
+
+    def route(W, x):
+        return labels[x], labels[W.forward[x]]
+
+    left = [
+        x for x in range(U.atom_count)
+        if sum(route(U, z) == route(U, x) for z in range(x))
+        >= sum(route(V, z) == route(U, x) for z in range(V.atom_count))
+    ]
+    return left, sorted(left, key=lambda x: route(U, x))
+
+
 class TestForwardBound:
     def test_identity_factors(self):
         alpha = halves(6)
@@ -210,6 +230,29 @@ class TestFactorize:
         for eps in (Fraction(1, 4), Fraction(1, 8), Fraction(1, 16)):
             masses.append(rk.factorize(S, T, alpha, eps).leftover_mass)
         assert masses[0] == masses[1] == masses[2]
+
+
+class TestLeftoverBijection:
+    def test_kth_smallest_t_leftover_goes_to_kth_smallest_s_leftover(self):
+        # The order-preserving leftover bijection of the module docstring,
+        # with both leftover sets recomputed from the cell routes.  Counted:
+        # trials where route order differs from ascending order, on T's
+        # side and on S's, so that an unsorted side would show.
+        rng = Random(8)
+        unsorted_t = unsorted_s = 0
+        for trial in range(200):
+            N, n = 6 + trial % 7, 2 + trial % 2
+            alpha = random_partition(rng, N, n)
+            S, T = random_permutation(rng, N), random_permutation(rng, N)
+            # With n >= 2 cells w_distance < 1, so epsilon = n^2 admits any pair.
+            w = rk.factorize(S, T, alpha, Fraction(n * n))
+            t_left, t_routed = route_leftovers(T, S, alpha)
+            s_left, s_routed = route_leftovers(S, T, alpha)
+            assert len(t_left) == len(s_left) == w.leftover_mass * N
+            assert [w.R.forward[x] for x in t_left] == s_left
+            unsorted_t += t_left != t_routed
+            unsorted_s += s_left != s_routed
+        assert unsorted_t > 0 and unsorted_s > 0
 
 
 class TestLeftFactorScan:

@@ -1,10 +1,12 @@
 """Doubly stochastic matrices: predicate, closure, compression."""
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 
 import roelcke as rk
+from roelcke import markov
 from roelcke.markov import CouplingMatrix, MarkovMatrix, check_markov, compress
 from roelcke.sampling import random_markov
 from roelcke.space import AtomSpace
@@ -139,6 +141,19 @@ def random_block_average(rng, N):
     return rk.block_average(rk.make_partition(AtomSpace(N), labels))
 
 
+INT64_MAX = 2**63 - 1
+
+
+def denominators_lcm(K):
+    return lcm(*(v.denominator for row in K.entries for v in row))
+
+
+def near_identity(d):
+    """3x3: a 2x2 block mixing over d, and a fixed third atom."""
+    a, b = Fraction(d - 1, d), Fraction(1, d)
+    return MarkovMatrix(((a, b, 0), (b, a, 0), (0, 0, 1)))
+
+
 class TestProductReference:
     """`product` equals an independent schoolbook Fraction product."""
 
@@ -181,6 +196,70 @@ class TestProductReference:
                                      [Fraction(q - 2, q), Fraction(2, q)]])
         assert_matches_reference(K1, K2)
         assert rk.product(K1, K2).entries[0][0].denominator == p * q
+
+    # Pairs of denominators whose product is just below, at and just above
+    # 2**63 - 1, the largest int64: (2**31 - 1)(2**32 + 2) = 2**63 - 2, and
+    # 2**63 - 1 = 7*7*73*127*337 * 92737*649657.
+    @pytest.mark.parametrize("d1, d2, side", [
+        (2**31 - 1, 2**32 + 2, -1),
+        (7 * 7 * 73 * 127 * 337, 92737 * 649657, 0),
+        (2**31 + 1, 2**32 + 1, 1),
+    ], ids=["below", "at", "above"])
+    def test_across_the_int64_bound(self, d1, d2, side):
+        # Entry (2, 2) of the product is exactly 1, so its numerator over
+        # d1 * d2 is d1 * d2 itself, the largest int64 in the "at" case.
+        K1, K2 = near_identity(d1), near_identity(d2)
+        product_of_lcms = denominators_lcm(K1) * denominators_lcm(K2)
+        assert (product_of_lcms > INT64_MAX) - (product_of_lcms < INT64_MAX) == side
+        assert_matches_reference(K1, K2)
+        assert_matches_reference(K2, K1)
+
+    def test_power_chain_crosses_the_int64_bound(self):
+        # K^m has denominator 7^m; each step multiplies K^m by K, over
+        # 7^(m+1), which passes 2**63 - 1 at m + 1 = 23.
+        K = MarkovMatrix.from_rows(
+            [["1/7", "2/7", "4/7"], ["4/7", "1/7", "2/7"], ["2/7", "4/7", "1/7"]]
+        )
+        power, sides = K, set()
+        for _ in range(30):
+            sides.add(denominators_lcm(power) * denominators_lcm(K) > INT64_MAX)
+            assert_matches_reference(power, K)
+            assert_matches_reference(K, power)
+            power = rk.product(power, K)
+        assert sides == {False, True}
+        assert denominators_lcm(power) == 7**31
+
+
+class TestIntegerView:
+    """The integer view `product` multiplies is derived once per object and
+    is invisible to equality, hashing and printing."""
+
+    def test_built_once_per_object(self, monkeypatch):
+        # The first product fills the cache; the later ones read it and
+        # must still equal the schoolbook product.
+        calls = []
+
+        def counting_lcm(*args):
+            calls.append(args)
+            return lcm(*args)
+
+        K = random_markov(Random(11), 5)
+        monkeypatch.setattr(markov, "lcm", counting_lcm)
+        first = rk.product(K, K)
+        assert len(calls) == 1
+        for _ in range(3):
+            assert rk.product(K, K) == first
+        assert len(calls) == 1
+        assert [list(row) for row in first.entries] == reference_product(K, K)
+
+    def test_invisible_to_eq_hash_repr(self):
+        K = random_markov(Random(12), 4)
+        before = (hash(K), repr(K))
+        fresh = MarkovMatrix(K.entries)
+        rk.product(K, K)
+        assert "_numerators" in vars(K) and "_numerators" not in vars(fresh)
+        assert K == fresh
+        assert (hash(K), repr(K)) == before == (hash(fresh), repr(fresh))
 
 
 class TestProduct:
