@@ -19,8 +19,8 @@ the builder makes them without re-validating them.
 P moves no paired atom across cells, so u_deviation(P) depends only on the
 joint counts of S and T and on the target cells of the leftover atoms, in
 atom order (the lemma in `exhaustive_left_factor_scan`).  The scan
-therefore makes one builder call per class of pairs sharing those data,
-not one per pair.
+therefore stores signature classes of permutations, not permutations, and
+makes one builder call per class of pairs sharing those data.
 
 Exact accounting at finite scale gives u_deviation(R) <= 2*leftover < 2eps
 and the same bound for P: the left factor maps, for each cell pair (i, j),
@@ -213,6 +213,12 @@ def exhaustive_left_factor_scan(
     atoms, in ascending atom order: that tuple is the map's leftover key.
     Every pair across the two groups is counted, but the builder runs once
     per class, on the first pair with a given (S key, T key).
+    A signature fixes every atom's target cell, so a signature class holds
+    prod_j |A_j|! permutations sharing joint counts and leftover keys; a
+    group stores each class as its first member and size.  A key's first
+    permutation is the first member of its class, so the builder gets a
+    per-permutation scan's pairs, in order.  The walk over all N!
+    permutations stays until the scan enumerates target-cell patterns.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -225,7 +231,8 @@ def exhaustive_left_factor_scan(
     # An atom x sent to y lies on route row[x] + col[y] = i*n + j.
     row = [(lab - 1) * n for lab in partition.labels]
     col = [lab - 1 for lab in partition.labels]
-    groups: dict[tuple[int, ...], list] = {}
+    # Joint counts -> signature -> [first permutation, class size].
+    groups: dict[tuple[int, ...], dict] = {}
     for fwd in itertools.permutations(range(N)):
         counts = [0] * (n * n)
         signature = []
@@ -233,7 +240,9 @@ def exhaustive_left_factor_scan(
             k = row[x] + col[y]
             signature.append((k, counts[k]))
             counts[k] += 1
-        groups.setdefault(tuple(counts), []).append((fwd, signature))
+        group = groups.setdefault(tuple(counts), {})
+        group.setdefault(tuple(signature), [fwd, 0])[1] += 1
+    sizes = {k: sum(size for _, size in g.values()) for k, g in groups.items()}
 
     keys = list(groups)
     worst = Fraction(0)
@@ -243,7 +252,7 @@ def exhaustive_left_factor_scan(
             gap = max(abs(u - v) for u, v in zip(ka, kb))
             if not Fraction(gap, N) < required:
                 continue
-            scanned += len(groups[ka]) * len(groups[kb])
+            scanned += sizes[ka] * sizes[kb]
             paired = [min(u, v) for u, v in zip(ka, kb)]
             s_reps = _class_representatives(groups[ka], paired, partition)
             t_reps = _class_representatives(groups[kb], paired, partition)
@@ -256,17 +265,17 @@ def exhaustive_left_factor_scan(
 
 
 def _class_representatives(
-    group: list, paired: list[int], partition: Partition
+    group: dict, paired: list[int], partition: Partition
 ) -> list[Automorphism]:
     """The first member of `group` for each leftover key.
 
-    A member is a permutation and its signature of (route index k, rank r)
-    per atom.  An atom is a leftover exactly when r >= paired[k], so the
-    key, the leftovers' target cells j = k % n, is read off the signature.
+    `group` maps each signature, a (route index k, rank r) per atom, to its
+    class's first member and size.  An atom is a leftover exactly when
+    r >= paired[k]: its target cell j = k % n joins the key.
     """
     n = partition.cell_count
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for fwd, signature in group:
+    for signature, (fwd, _) in group.items():
         reps.setdefault(tuple([k % n for k, r in signature if r >= paired[k]]), fwd)
     # Permutations are bijections by construction: no validation needed.
     return [Automorphism._trusted(fwd) for fwd in reps.values()]

@@ -308,6 +308,13 @@ class TestProduct:
             K = rk.convex_combination(weights, mats)
             assert check_markov(K.entries) is None
 
+    def test_convex_combination_refuses_negative_weights(self):
+        # Weights (2, -1) sum to 1, and 2K - K = K is Markov, so only the
+        # weight check refuses this non-convex combination.
+        K = random_markov(Random(9), 4)
+        with pytest.raises(ValueError, match="nonnegative"):
+            rk.convex_combination([Fraction(2), Fraction(-1)], [K, K])
+
 
 class TestCompress:
     def setup_method(self):

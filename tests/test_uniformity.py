@@ -139,6 +139,15 @@ class TestRoelckeRelated:
         assert not rk.roelcke_related(S, T, P, rk.identity(4), alpha, Fraction(1, 2))
         assert rk.roelcke_related(S, T, P, rk.identity(4), alpha, Fraction(5, 8))
 
+    def test_strictness_right_factor(self):
+        # The mirror image: Q at deviation exactly epsilon is not membership.
+        alpha = halves4()
+        Q = rk.swap(4, 1, 2)  # deviation 1/2
+        S = rk.identity(4)
+        T = rk.compose(S, Q)
+        assert not rk.roelcke_related(S, T, rk.identity(4), Q, alpha, Fraction(1, 2))
+        assert rk.roelcke_related(S, T, rk.identity(4), Q, alpha, Fraction(5, 8))
+
 
 class TestNet:
     def test_trivial_partition(self):
