@@ -46,7 +46,6 @@ from roelcke.wap import (
     gram_psd_check,
     matrix_coefficient,
     roelcke_modulus_check,
-    separate,
 )
 from roelcke.semigroup import (
     IdempotentReport,
@@ -100,7 +99,6 @@ __all__ = [
     "roelcke_modulus_check",
     "roelcke_related",
     "round_to_grid",
-    "separate",
     "swap",
     "u_deviation",
     "w_distance",

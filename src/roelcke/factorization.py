@@ -32,6 +32,7 @@ empirically on complete small cases.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,6 +94,12 @@ def forward_bound_check(
     T = compose(P, compose(S, Q))
     distance = w_distance(S, T, partition)
     return distance, distance < 2 * epsilon
+
+
+def _required(epsilon: Fraction, partition: Partition) -> Fraction:
+    """The strict bound epsilon/n^2 on w_distance(S, T), n the cell count,
+    under which the backward construction runs."""
+    return epsilon / partition.cell_count ** 2
 
 
 def _cell_routes(T: Automorphism, partition: Partition) -> list[list[int]]:
@@ -160,8 +167,7 @@ def factorize(
     count.  Guarantees: the product identity holds atom-exactly,
     leftover_mass < epsilon, and u_deviation(R) <= 2*leftover_mass.
     """
-    n = partition.cell_count
-    required = epsilon / (n * n)
+    required = _required(epsilon, partition)
     observed = w_distance(S, T, partition)
     if not observed < required:
         raise FactorizationPreconditionError(observed, required)
@@ -213,12 +219,15 @@ def exhaustive_left_factor_scan(
     atoms, in ascending atom order: that tuple is the map's leftover key.
     Every pair across the two groups is counted, but the builder runs once
     per class, on the first pair with a given (S key, T key).
-    A signature fixes every atom's target cell, so a signature class holds
-    prod_j |A_j|! permutations sharing joint counts and leftover keys; a
-    group stores each class as its first member and size.  A key's first
-    permutation is the first member of its class, so the builder gets a
-    per-permutation scan's pairs, in order.  The walk over all N!
-    permutations stays until the scan enumerates target-cell patterns.
+    A signature fixes every atom's target cell, so a signature class is one
+    permutation followed by each permutation of the atoms within every
+    cell: exactly prod_j |A_j|! members, sharing joint counts and leftover
+    keys.  A group stores each class as its first member only, and its size
+    is derived, not counted: its number of classes times prod_j |A_j|!.  A
+    key's first permutation is the first member of its class, so the
+    builder gets a per-permutation scan's pairs, in order.  The walk over
+    all N! permutations stays until the scan enumerates target-cell
+    patterns.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -226,12 +235,12 @@ def exhaustive_left_factor_scan(
     if N > 6:
         raise ValueError("the exhaustive scan is limited to 6 atoms")
     n = partition.cell_count
-    required = epsilon / (n * n)
+    required = _required(epsilon, partition)
 
     # An atom x sent to y lies on route row[x] + col[y] = i*n + j.
     row = [(lab - 1) * n for lab in partition.labels]
     col = [lab - 1 for lab in partition.labels]
-    # Joint counts -> signature -> [first permutation, class size].
+    # Joint counts -> signature -> the class's first permutation.
     groups: dict[tuple[int, ...], dict] = {}
     for fwd in itertools.permutations(range(N)):
         counts = [0] * (n * n)
@@ -240,9 +249,9 @@ def exhaustive_left_factor_scan(
             k = row[x] + col[y]
             signature.append((k, counts[k]))
             counts[k] += 1
-        group = groups.setdefault(tuple(counts), {})
-        group.setdefault(tuple(signature), [fwd, 0])[1] += 1
-    sizes = {k: sum(size for _, size in g.values()) for k, g in groups.items()}
+        groups.setdefault(tuple(counts), {}).setdefault(tuple(signature), fwd)
+    class_size = math.prod(map(math.factorial, partition.cell_sizes))
+    sizes = {k: len(g) * class_size for k, g in groups.items()}
 
     keys = list(groups)
     worst = Fraction(0)
@@ -270,12 +279,12 @@ def _class_representatives(
     """The first member of `group` for each leftover key.
 
     `group` maps each signature, a (route index k, rank r) per atom, to its
-    class's first member and size.  An atom is a leftover exactly when
+    class's first member.  An atom is a leftover exactly when
     r >= paired[k]: its target cell j = k % n joins the key.
     """
     n = partition.cell_count
     reps: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for signature, (fwd, _) in group.items():
+    for signature, fwd in group.items():
         reps.setdefault(tuple([k % n for k, r in signature if r >= paired[k]]), fwd)
     # Permutations are bijections by construction: no validation needed.
     return [Automorphism._trusted(fwd) for fwd in reps.values()]

@@ -1,11 +1,13 @@
 """Matrix-coefficient functions K -> <Kf, g> and their certificates.
 
-These coefficient functions are positive definite on the group, separate
-distinct Markov operators, and are uniformly continuous for the two-sided
-entourages; the three facts are certified here by, respectively, a Gram
-spectral check, an exact entrywise scan, and an explicit modulus
-inequality.  Spectral computations run in floating point with a documented
-tolerance; everything else stays exact when the inputs are rational.
+These coefficient functions are positive definite on the group and
+uniformly continuous for the two-sided entourages; the two facts are
+certified here by a Gram spectral check and an explicit modulus
+inequality.  They also separate distinct Markov operators, but that needs
+no search: at N atoms, <K 1_x, 1_y> for the indicators of atoms x and y
+is K's entry in row y and column x over N, so matrix equality decides it.
+Spectral computations run in floating point with a documented tolerance;
+everything else stays exact when the inputs are rational.
 """
 from __future__ import annotations
 
@@ -58,12 +60,6 @@ class ObservableVector:
         for x, y in enumerate(g.forward):
             out[y] = self.values[x]
         return ObservableVector(tuple(out))
-
-    @classmethod
-    def indicator(cls, atom_count: int, atoms: Sequence[int]) -> "ObservableVector":
-        inside = set(atoms)
-        return cls(tuple(Fraction(1) if x in inside else Fraction(0)
-                         for x in range(atom_count)))
 
 
 def matrix_coefficient(K: MarkovMatrix, f: ObservableVector, g: ObservableVector):
@@ -130,24 +126,3 @@ def roelcke_modulus_check(
     dp = floats(f.translate(inverse(P))) - fv
     rhs = norm_f * (math.sqrt(ip(dq, dq)) + math.sqrt(ip(dp, dp)))
     return ModulusCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs + MODULUS_TOLERANCE)
-
-
-def separate(
-    K1: MarkovMatrix, K2: MarkovMatrix
-) -> tuple[ObservableVector, ObservableVector]:
-    """Indicator observables whose coefficient distinguishes K1 from K2.
-
-    Scans for a coordinate where the matrices differ and returns the
-    corresponding pair of atom indicators; coefficient functions therefore
-    separate points of the Markov semigroup.
-    """
-    if K1.size != K2.size:
-        raise ValueError("size mismatch")
-    N = K1.size
-    for y in range(N):
-        for x in range(N):
-            if K1.entries[y][x] != K2.entries[y][x]:
-                f = ObservableVector.indicator(N, [x])
-                g = ObservableVector.indicator(N, [y])
-                return f, g
-    raise ValueError("matrices are equal; nothing separates them")

@@ -91,6 +91,15 @@ def test_02_backward_inclusion():
         total_scanned += scanned
     assert empirical <= rk.LEFT_FACTOR_CONSTANT
     assert rk.LEFT_FACTOR_CONSTANT <= 4
+    # At (1, 1, 2, 2) a pair qualifies when its count gap is below eps atoms,
+    # so the three cases above admit only equal joint counts (ratio 0).  At
+    # eps = 11/10 pairs one atom apart qualify.  Kept out of _ORACLE_CASES:
+    # its ratio would change the acceptance line's empirical C_P.
+    gap_eps = Fraction(11, 10)
+    gap_worst, gap_scanned = exhaustive_left_factor_scan(
+        rk.make_partition(AtomSpace(4), [1, 1, 2, 2]), gap_eps
+    )
+    assert gap_worst <= rk.LEFT_FACTOR_CONSTANT
 
     # Supplementary uniform-pair sweep at 8 atoms (exhaustion is out of
     # reach there: ~1.6e9 ordered pairs).
@@ -130,6 +139,9 @@ def test_02_backward_inclusion():
            f"oracle pairs={total_scanned} empirical C_P={empirical} "
            f"(shipped {rk.LEFT_FACTOR_CONSTANT} <= 4); sweep trials={trials} "
            f"max r_dev/eps={worst_r} max p_dev/eps={worst_p}")
+    regime(2, "backward inclusion",
+           f"one-atom gap (1,1,2,2) eps={gap_eps}: oracle pairs={gap_scanned} "
+           f"worst p_dev/eps={gap_worst} (<= {rk.LEFT_FACTOR_CONSTANT})")
 
 
 def test_03_budget_identity():

@@ -46,11 +46,15 @@ _BRUTE_FORCE_CASES = [
     # A count gap of exactly epsilon*N/n^2 = 1 atom: the strict precondition
     # excludes it, and the scan must too.
     ((1, 1, 2, 2), Fraction(1)),
+    # Just above it, pairs one atom apart qualify (criterion 2's REGIME line).
+    ((1, 1, 2, 2), Fraction(11, 10)),
 ]
 
 
 # The criterion-2 cases with the scan's (worst, scanned) and its number of
-# witness builds.  The N = 6 cases are past the brute-force ones above.
+# witness builds.  The N = 6 cases are past the brute-force ones above.  The
+# last is the one-atom-gap case of criterion 2's REGIME line; the others are
+# its ACCEPTANCE line's oracle cases.
 _CRITERION_2_CASES = [
     ((1, 1, 2, 2), Fraction(1, 2), (Fraction(0), 288), 3),
     ((1, 1, 2, 2), Fraction(3, 4), (Fraction(0), 288), 3),
@@ -60,6 +64,7 @@ _CRITERION_2_CASES = [
     ((1, 2, 2, 2, 2), Fraction(9, 10), (Fraction(4, 9), 14400), 4),
     ((1, 1, 1, 2, 2, 2), Fraction(3, 4), (Fraction(4, 9), 469152), 10),
     ((1, 1, 2, 2, 2, 2), Fraction(3, 4), (Fraction(4, 9), 490752), 7),
+    ((1, 1, 2, 2), Fraction(11, 10), (Fraction(5, 11), 544), 7),
 ]
 
 # The sha256 of repr([(S.forward, T.forward), ...]) over the builder calls of
@@ -83,6 +88,8 @@ _CRITERION_2_WITNESS_INPUTS = {
         "02ef5fd87a30ddcbfc150fa7cfb237b9bc57423a5ee70e5dd66cb97a85dc2930",
     ((1, 1, 2, 2, 2, 2), Fraction(3, 4)):
         "df5aed37f6eb42af84096e102022539b57df82f83531c16ad12c5ec14c46ae2c",
+    ((1, 1, 2, 2), Fraction(11, 10)):
+        "56da8e696fed21ac9b040f1192c0ba5a0712b3b9fcafecaf971be285906c5fca",
 }
 
 
