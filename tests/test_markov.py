@@ -39,6 +39,46 @@ class TestPredicate:
                                     [Fraction(1, 2), Fraction(3, 4)]])
 
 
+H, Q = Fraction(1, 2), Fraction(1, 4)
+
+
+class TestSupport:
+    """Validation reads only the nonzero entries; around the zeros every
+    verdict and message is the one a scan of all entries gives."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[0, 0, 1], [0, Fraction(3, 2), -H], [1, -H, H]],
+         "negative entry at (1, 2): -1/2"),
+        ([[0, H, 0, Q], [Q, 0, H, Q], [H, Q, 0, Q], [Q, Q, H, 0]],
+         "row 0 sums to 3/4, expected 1"),
+        ([[H, H, 0], [0, 0, 0], [H, H, 1]],
+         "row 1 sums to 0, expected 1"),
+        ([[0, H, H], [0, H, H], [0, H, H]],
+         "column 0 sums to 0, expected 1"),
+        ([[1, 0, 0], [0, H, H], [1, 0, 0]],
+         "column 0 sums to 2, expected 1"),
+    ], ids=["negative-after-zeros", "row-support-misses-1", "all-zero-row",
+            "zero-column-behind-valid-rows", "column-behind-valid-rows"])
+    def test_violation_messages(self, rows, message):
+        assert check_markov(rows) == message
+        with pytest.raises(ValueError) as err:
+            MarkovMatrix(tuple(map(tuple, rows)))
+        assert str(err.value) == f"not a Markov matrix: {message}"
+
+    def test_coupling_with_zero_cells(self):
+        marginals = (H, Q, Q)
+        entries = ((H, 0, 0), (0, 0, Q), (0, Q, 0))
+        assert CouplingMatrix(entries, marginals).entries == entries
+        for bad, message in [
+            (((H, 0, 0), (0, 0, 0), (0, Q, Q)), "row 1 sums to 0, expected 1/4"),
+            (((0, 0, H), (0, Q, 0), (H, 0, -Q)), "negative entry at (2, 2): -1/4"),
+            (((0, H, 0), (Q, 0, 0), (Q, 0, 0)), "column 1 sums to 1/2, expected 1/4"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                CouplingMatrix(bad, marginals)
+            assert str(err.value) == f"not a coupling matrix: {message}"
+
+
 class TestInputRegime:
     """Entries (and a coupling's marginals) are ints or Fractions, and the
     size is at least 1."""
@@ -62,6 +102,14 @@ class TestInputRegime:
         with pytest.raises(ValueError, match="not a Markov matrix: entry .* "
                                              "is not an int or a Fraction"):
             MarkovMatrix.from_rows(rows)
+
+    @pytest.mark.parametrize("text", ["1/0", "abc"], ids=["zero-denominator", "no-number"])
+    def test_from_rows_names_an_unparsable_string(self, text):
+        # Fraction("1/0") raises ZeroDivisionError and Fraction("abc") a
+        # ValueError that does not name the entry; both become one message.
+        with pytest.raises(ValueError) as err:
+            MarkovMatrix.from_rows([[text]])
+        assert str(err.value) == f"not a Markov matrix: entry {text!r} is not a rational"
 
     def test_from_rows_parses_ints_fractions_and_strings(self):
         K = MarkovMatrix.from_rows([[1, 0], [0, 1]])
