@@ -21,13 +21,15 @@ stays structural.  The speed rests on each factor's entries sharing a small
 common denominator.
 
 Every product, like every other closed operation here, still passes through
-the validating constructor.  Validation reads only the nonzero entries (see
-`_sums_violation`).  On the 32 x 32 products of `random_markov` matrices,
-60 % zeros, that cuts its cost by about 40 %, yet it still costs more than
-the integer product.  Skipping it needs a trusted constructor and
-integer storage (ROADMAP item 2).  Those wait for the benchmark to stop
-keeping a record per item (item 1): until then a faster `order_check` reads
-there as a rise in peak memory.
+the validating constructor.  Both work on the support: `product` builds a
+``Fraction`` only for a nonzero entry (every zero is one shared object), and
+validation reads each row once, skipping zeros (see `_sums_violation`).  In
+a traced run of 32 x 32 `random_markov` products, 60 % zeros, a product
+took 0.58 ms per call and its validation 2.09 ms: validation is still most
+of the cost.  Skipping it needs a trusted constructor and integer storage
+(ROADMAP item 2).  Those wait for the benchmark to stop keeping a record per
+item (item 1): until then a faster `order_check` reads there as a rise in
+peak memory.
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
 _PARSED = {int, Fraction, str}  # what `MarkovMatrix.from_rows` converts
 _INT64_MAX = 2**63 - 1
+_ZERO = Fraction(0)  # every zero entry of a product
 
 
 def _dtype(bound: int) -> type:
@@ -85,28 +88,35 @@ def _sums_violation(rows: Rows, sums: Sequence[Fraction]) -> str | None:
     """The first way rows fails to be square and nonnegative with every row
     and every column summing to `sums`, or None.
 
-    Both scans read only the support: a zero can be neither negative nor
-    change a sum, so skipping it leaves every verdict and every message as
-    it was (an empty sum is 0 and prints as "0").  That pays where zeros
-    are common: 60 % of the entries of a product of two
-    ``random_markov(32, terms=4)`` matrices are zero.  On a matrix without
-    zeros the extra truth test costs about 10 %; break-even is near 12 %
-    zeros.
+    One pass reads each row once and only its support: a zero can be
+    neither negative nor change a sum.  It stops at the first negative entry
+    in row-major order; after it the first bad row, then the first bad
+    column, is reported.  Each sum adds the same terms, left to right, as a
+    scan of all entries, so every verdict and message is that scan's (an
+    empty sum is 0 and prints as "0").  Skipping zeros pays where they are
+    common, as in a product of two ``random_markov(32, terms=4)`` matrices
+    (60 % zeros).  Where it buys nothing, on 32 x 32 matrices without
+    zeros, the pass takes about 1.04 times as long as three scans (signs,
+    rows, columns) that skip nothing.
     """
     n = len(rows)
     for row in rows:
         if len(row) != n:
             return "matrix is not square"
+    row_sums, col_sums = [], [0] * n
     for y, row in enumerate(rows):
+        s = 0
         for x, v in enumerate(row):
-            if v and v < 0:
-                return f"negative entry at ({y}, {x}): {v}"
-    for y, row in enumerate(rows):
-        s = sum(v for v in row if v)
+            if v:
+                if v < 0:
+                    return f"negative entry at ({y}, {x}): {v}"
+                s += v
+                col_sums[x] += v
+        row_sums.append(s)
+    for y, s in enumerate(row_sums):
         if s != sums[y]:
             return f"row {y} sums to {s}, expected {sums[y]}"
-    for x in range(n):
-        s = sum(rows[y][x] for y in range(n) if rows[y][x])
+    for x, s in enumerate(col_sums):
         if s != sums[x]:
             return f"column {x} sums to {s}, expected {sums[x]}"
     return None
@@ -134,6 +144,8 @@ class MarkovMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "MarkovMatrix":
+        if size < 1:
+            raise ValueError(f"not a Markov matrix: size {size}")
         return cls.from_rows(
             [[1 if x == y else 0 for x in range(size)] for y in range(size)]
         )
@@ -183,8 +195,10 @@ def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
     sums to D1 and every entry of A2 is at most D2, and every partial sum
     of (A1 @ A2)[y][x] lies in [0, D1 * D2], in any order of summation.  Past the bound they are
     multiplied as Python ints, which cannot overflow; one expression serves
-    both.  The result is still validated by the constructor: the kernel is
-    not trusted to be closed on its own word.
+    both.  Every zero entry is the one shared ``Fraction(0)``; a
+    ``Fraction`` is built only where (A1 @ A2)[y][x] != 0.  The result is
+    still validated by the constructor: the kernel is not trusted to be
+    closed on its own word.
 
     The gain assumes each factor's denominators share a small lcm, as they
     do for block averages (the lcm of the cell sizes) and for
@@ -200,7 +214,9 @@ def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
     d = d1 * d2
     dtype = _dtype(d)
     rows = (A1.astype(dtype, copy=False) @ A2.astype(dtype, copy=False)).tolist()
-    return MarkovMatrix(tuple(tuple(Fraction(v, d) for v in row) for row in rows))
+    return MarkovMatrix(tuple(
+        tuple(Fraction(v, d) if v else _ZERO for v in row) for row in rows
+    ))
 
 
 def convex_combination(

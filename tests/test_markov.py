@@ -57,8 +57,19 @@ class TestSupport:
          "column 0 sums to 0, expected 1"),
         ([[1, 0, 0], [0, H, H], [1, 0, 0]],
          "column 0 sums to 2, expected 1"),
+        # One pass reads every row before any sum is compared: a negative
+        # entry outranks an earlier bad row, and a bad row an earlier bad
+        # column.  An all-zero last column adds nothing to its sum.
+        ([[H, 0, 0], [0, 1, H], [H, -H, 1]],
+         "negative entry at (2, 1): -1/2"),
+        ([[1, 0, 0], [H, 0, 0], [H, 1, 1]],
+         "row 1 sums to 1/2, expected 1"),
+        ([[H, H, 0], [H, H, 0], [0, 1, 0]],
+         "column 1 sums to 2, expected 1"),
     ], ids=["negative-after-zeros", "row-support-misses-1", "all-zero-row",
-            "zero-column-behind-valid-rows", "column-behind-valid-rows"])
+            "zero-column-behind-valid-rows", "column-behind-valid-rows",
+            "negative-after-bad-row", "bad-row-before-bad-column",
+            "all-zero-last-column"])
     def test_violation_messages(self, rows, message):
         assert check_markov(rows) == message
         with pytest.raises(ValueError) as err:
@@ -147,6 +158,13 @@ class TestInputRegime:
     def test_uniform_size_zero_rejected(self):
         with pytest.raises(ValueError, match="size 0"):
             MarkovMatrix.uniform(0)
+
+    @pytest.mark.parametrize("size", [-3, 0])
+    @pytest.mark.parametrize("constructor", ["identity", "uniform"])
+    def test_size_below_one_named(self, constructor, size):
+        with pytest.raises(ValueError) as err:
+            getattr(MarkovMatrix, constructor)(size)
+        assert str(err.value) == f"not a Markov matrix: size {size}"
 
     def test_int_entries_accepted_by_product(self):
         swap = MarkovMatrix(((0, 1), (1, 0)))
@@ -335,6 +353,19 @@ class TestProduct:
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             rk.product(MarkovMatrix.identity(2), MarkovMatrix.identity(3))
+
+    def test_zeros_are_one_shared_object(self):
+        # A fresh Fraction(0, d) per zero would pass every other test; only
+        # identity tells the shared zero apart.
+        rng = Random(31)
+        zeros = []
+        for _ in range(5):
+            K1, K2 = random_markov(rng, 6, terms=2), random_markov(rng, 6, terms=2)
+            K, want = rk.product(K1, K2), reference_product(K1, K2)
+            assert [list(row) for row in K.entries] == want
+            assert K.to_strings() == [[str(v) for v in row] for row in want]
+            zeros += [v for row in K.entries for v in row if v == 0]
+        assert zeros and all(v == Fraction(0) and v is zeros[0] for v in zeros)
 
     def test_closure_random_pairs(self):
         rng = Random(42)
