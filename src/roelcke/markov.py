@@ -144,8 +144,8 @@ class MarkovMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "MarkovMatrix":
-        if size < 1:
-            raise ValueError(f"not a Markov matrix: size {size}")
+        if type(size) is not int or size < 1:  # a bool is not a size
+            raise ValueError(f"not a Markov matrix: size {size!r}")
         return cls.from_rows(
             [[1 if x == y else 0 for x in range(size)] for y in range(size)]
         )
@@ -153,8 +153,8 @@ class MarkovMatrix:
     @classmethod
     def uniform(cls, size: int) -> "MarkovMatrix":
         """The all-1/N matrix: projection onto the constant vectors."""
-        if size < 1:
-            raise ValueError(f"not a Markov matrix: size {size}")
+        if type(size) is not int or size < 1:  # a bool is not a size
+            raise ValueError(f"not a Markov matrix: size {size!r}")
         w = Fraction(1, size)
         return cls(tuple((w,) * size for _ in range(size)))
 

@@ -126,6 +126,8 @@ def random_markov(rng: Random, size: int, terms: int = 4) -> MarkovMatrix:
 
     The matrix of T has its ones at (T(x), x): row y has its one at T^{-1}(y).
     """
+    if terms < 1:
+        raise ValueError(f"terms must be >= 1, got {terms}")
     perms = [inverse(random_permutation(rng, size)).forward for _ in range(terms)]
     raw = [rng.randrange(1, 100) for _ in range(terms)]
     total = sum(raw)

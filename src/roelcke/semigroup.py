@@ -6,7 +6,7 @@ its one-sided conditions, least idempotents of singly generated closed
 convex subsemigroups via averaged powers, the idempotent of the powers'
 closure, conjugation by automorphisms, and the classification of
 permutation-conjugation-invariant idempotents, which for every size is
-exactly {identity, projection onto constants}.
+exactly {identity, projection onto constants}, in closed form.
 
 Averaging runs in floating point with a stopping rule based on successive
 window averages; the window average of powers K^{m+1}..K^{2m} converges
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy
+import sympy  # unused; perfbench times this import until ROADMAP item 1
 
 from roelcke.markov import MarkovMatrix, product
 from roelcke.space import AtomSpace, Automorphism, Partition, make_partition
@@ -289,41 +289,34 @@ CLASSIFY_MAX_ATOMS = 64
 
 
 def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
-    """All Markov idempotents fixed by conjugation with every permutation.
+    """All Markov idempotents fixed by conjugation with every permutation:
+    [identity, all-1/N], for 2 <= N <= CLASSIFY_MAX_ATOMS.
 
-    Solves the commutant symbolically: invariance forces the matrix to be
-    constant on index-pair orbits (diagonal and off-diagonal for N >= 2),
-    one unknown per orbit.  It also makes each equation constant on its
-    orbit: a permutation taking (y, x) to (y', x') takes row y to row y',
-    column x to column x' and entry (y, x) of K^2 - K to entry (y', x').  So
-    three equations at each orbit's first pair (y, x), row y and column x
-    summing to 1 and (K^2)[y][x] = K[y][x], have the same solutions as the
-    equations for every row, column and entry.  Nonnegativity then leaves
-    exactly {identity, all-1/N}, for 2 <= N <= CLASSIFY_MAX_ATOMS.
+    Invariance makes K constant on the index-pair orbits, which S_N, being
+    2-transitive, cuts into two: a on the diagonal, b off it.  A permutation
+    taking (y, x) to (y', x') takes row y, column x and entry (y, x) of
+    K^2 - K to row y', column x' and entry (y', x'), so three equations at
+    each orbit's first pair solve the whole system.  Row and column sums
+    give a + (N-1)b = 1 at both orbits.  With a = 1 - (N-1)b,
+      diagonal:  a^2 + (N-1)b^2 - a = (N-1)b(Nb - 1)
+      off it:    2ab + (N-2)b^2 - b = b(1 - Nb)
+    so b(1 - Nb) = 0 as N > 1: b = 0 gives I and b = 1/N the all-1/N
+    matrix, both nonnegative.  Each root is built through the validating
+    constructor and proven idempotent; a failed proof raises.
     """
-    if not 2 <= N <= CLASSIFY_MAX_ATOMS:
-        raise ValueError(f"symbolic regime is 2 <= N <= {CLASSIFY_MAX_ATOMS}")
+    if type(N) is not int or not 2 <= N <= CLASSIFY_MAX_ATOMS:
+        raise ValueError(f"regime is 2 <= N <= {CLASSIFY_MAX_ATOMS}, got {N!r}")
     orbits = _pair_orbits(N)
-    vars_ = sympy.symbols(f"v0:{len(orbits)}", real=True)
-    entry = [[None] * N for _ in range(N)]
-    for v, orbit in zip(vars_, orbits):
-        for y, x in orbit:
-            entry[y][x] = v
-
-    eqs = []
-    for y, x in (orbit[0] for orbit in orbits):
-        eqs += [
-            sympy.Eq(sum(entry[y]), 1),
-            sympy.Eq(sum(row[x] for row in entry), 1),
-            sympy.Eq(sum(entry[y][k] * entry[k][x] for k in range(N)), entry[y][x]),
-        ]
+    if [{y == x for y, x in orbit} for orbit in orbits] != [{True}, {False}]:
+        raise RuntimeError(f"pair orbits at N={N} are not the diagonal and the rest")
     out = []
-    for sol in sympy.solve(eqs, vars_, dict=True):
-        value = {v: Fraction(str(sympy.Rational(sol[v]))) for v in vars_}
-        if any(f < 0 for f in value.values()):
-            continue
-        candidate = MarkovMatrix(tuple(tuple(value[v] for v in row) for row in entry))
-        if is_idempotent(candidate):
-            out.append(candidate)
-    out.sort(key=lambda mat: mat.entries[0][0], reverse=True)
+    for b in (Fraction(0), Fraction(1, N)):
+        rows = [[None] * N for _ in range(N)]
+        for orbit, v in zip(orbits, (1 - (N - 1) * b, b)):
+            for y, x in orbit:
+                rows[y][x] = v
+        candidate = MarkovMatrix(tuple(map(tuple, rows)))
+        if not is_idempotent(candidate):
+            raise RuntimeError(f"root b={b} at N={N} is not idempotent")
+        out.append(candidate)
     return out

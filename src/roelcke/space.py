@@ -33,6 +33,7 @@ class AtomSpace:
     atom_count: int
 
     def __post_init__(self) -> None:
+        _require_ints((self.atom_count,), "atom_count")
         if self.atom_count < 1:
             raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
 

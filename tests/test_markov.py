@@ -166,6 +166,13 @@ class TestInputRegime:
             getattr(MarkovMatrix, constructor)(size)
         assert str(err.value) == f"not a Markov matrix: size {size}"
 
+    @pytest.mark.parametrize("size", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("constructor", ["identity", "uniform"])
+    def test_size_not_an_int_named(self, constructor, size):
+        with pytest.raises(ValueError) as err:
+            getattr(MarkovMatrix, constructor)(size)
+        assert str(err.value) == f"not a Markov matrix: size {size!r}"
+
     def test_int_entries_accepted_by_product(self):
         swap = MarkovMatrix(((0, 1), (1, 0)))
         half = Fraction(1, 2)

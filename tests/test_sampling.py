@@ -7,6 +7,7 @@ import pytest
 import roelcke as rk
 from roelcke.sampling import (
     random_close_pair,
+    random_markov,
     random_partition,
     random_small_deviation,
 )
@@ -33,4 +34,12 @@ class TestInputRegime:
         state = rng.getstate()
         with pytest.raises(ValueError, match="epsilon must be positive"):
             sampler(rng, halves4(), epsilon)
+        assert rng.getstate() == state
+
+    @pytest.mark.parametrize("terms", [0, -1])
+    def test_markov_needs_a_term(self, terms):
+        rng = Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="terms must be >= 1"):
+            random_markov(rng, 4, terms)
         assert rng.getstate() == state

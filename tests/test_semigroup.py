@@ -327,7 +327,38 @@ class TestClassify:
             rk.MarkovMatrix.uniform(N).entries,
         ]
 
-    @pytest.mark.parametrize("N", [1, semigroup.CLASSIFY_MAX_ATOMS + 1])
+    @pytest.mark.parametrize("N", [2, 6, 64])
+    def test_closed_form_calls_no_sympy(self, N, monkeypatch):
+        def solver(*args, **kwargs):
+            raise AssertionError("the classifier called sympy")
+
+        monkeypatch.setattr(semigroup.sympy, "solve", solver)
+        monkeypatch.setattr(semigroup.sympy, "symbols", solver)
+        found = rk.invariant_idempotent_classify(N)
+        assert [m.entries for m in found] == [
+            rk.MarkovMatrix.identity(N).entries,
+            rk.MarkovMatrix.uniform(N).entries,
+        ]
+
+    def test_unproven_root_raises(self, monkeypatch):
+        monkeypatch.setattr(semigroup, "is_idempotent", lambda K: False)
+        with pytest.raises(RuntimeError, match="not idempotent"):
+            rk.invariant_idempotent_classify(4)
+
+    def test_orbits_other_than_diagonal_and_rest_raise(self, monkeypatch):
+        pair_orbits = semigroup._pair_orbits
+
+        def walk(N):  # the off-diagonal orbit split in two
+            diagonal, rest = pair_orbits(N)
+            return [diagonal, rest[:1], rest[1:]]
+
+        monkeypatch.setattr(semigroup, "_pair_orbits", walk)
+        with pytest.raises(RuntimeError, match="pair orbits"):
+            rk.invariant_idempotent_classify(4)
+
+    @pytest.mark.parametrize("N", [1, semigroup.CLASSIFY_MAX_ATOMS + 1,
+                                   Fraction(5, 2), True],
+                             ids=["1", "65", "5-halves", "True"])
     def test_regime_checked_before_orbit_walk(self, N, monkeypatch):
         def walk(N):
             raise AssertionError("orbit walk ran before the regime check")

@@ -30,6 +30,14 @@ def permutations(draw, size):
     return rk.Automorphism(tuple(fwd))
 
 
+class TestAtomSpace:
+    @pytest.mark.parametrize("count", [2.5, True, "3"], ids=["float", "bool", "str"])
+    def test_atom_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError) as err:
+            AtomSpace(count)
+        assert str(err.value) == f"atom_count {count!r} is not an int"
+
+
 class TestPartition:
     def test_two_halves(self):
         alpha = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])
