@@ -22,7 +22,7 @@ from random import Random
 from typing import Callable, Iterator, get_type_hints
 
 from roelcke import density, factorization, sampling, semigroup, wap
-from roelcke.markov import MarkovMatrix
+from roelcke.markov import MarkovMatrix, _require_ints, _require_positive
 from roelcke.space import compose, joint_matrix
 from roelcke.uniformity import (
     NetInfeasibleError,
@@ -47,12 +47,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.atoms < 1 or self.cells < 1:
-            raise ValueError("atoms and cells must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        _require_ints((self.atoms, self.cells, self.trials), "atoms, cells and trials", 1)
+        _require_positive(self.epsilon)
         if self.cells > self.atoms:
             raise ValueError("cells must not exceed atoms")
         if not 0 < self.tol < float("inf"):

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from roelcke.markov import _require_positive
 from roelcke.space import Automorphism, Partition, compose
 from roelcke.uniformity import u_deviation, w_distance
 
@@ -85,6 +86,7 @@ def forward_bound_check(
     Requires both outer factors to have deviation strictly below epsilon;
     under that hypothesis the bound always holds.
     """
+    _require_positive(epsilon)
     dp = u_deviation(P, partition)
     dq = u_deviation(Q, partition)
     if dp >= epsilon:
@@ -98,8 +100,9 @@ def forward_bound_check(
 
 def _required(epsilon: Fraction, partition: Partition) -> Fraction:
     """The strict bound epsilon/n^2 on w_distance(S, T), n the cell count,
-    under which the backward construction runs."""
-    return epsilon / partition.cell_count ** 2
+    under which the backward construction runs; epsilon must be positive."""
+    _require_positive(epsilon)
+    return Fraction(epsilon, partition.cell_count ** 2)
 
 
 def _cell_routes(T: Automorphism, partition: Partition) -> list[list[int]]:
@@ -229,8 +232,6 @@ def exhaustive_left_factor_scan(
     all N! permutations stays until the scan enumerates target-cell
     patterns.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     N = partition.space.atom_count
     if N > 6:
         raise ValueError("the exhaustive scan is limited to 6 atoms")

@@ -65,6 +65,28 @@ def _require_exact(rows: Rows, what: str) -> None:
         raise ValueError(f"{what} {v!r} is not an int or a Fraction")
 
 
+def _require_positive(epsilon: Fraction) -> None:
+    """Raise unless epsilon is an int (not a bool) or a Fraction, above 0."""
+    if type(epsilon) not in _EXACT or not epsilon > 0:
+        raise ValueError(f"epsilon must be positive and exact, got {epsilon}")
+
+
+def _require_ints(values: Sequence[int], what: str, low: int | None = None) -> None:
+    """Raise unless every value is exactly an int, and at least `low` if
+    given.  For a bad value v the message is what.format(v) if `what` has a
+    field, else "<what> <v!r> is not an int" or "<what> must be >= <low>"."""
+    # type(), not isinstance: a bool is an int, but prints as True.
+    if not set(map(type, values)) <= {int}:
+        v = next(v for v in values if type(v) is not int)
+        why = f"{what} {v!r} is not an int"
+    elif low is not None and min(values, default=low) < low:
+        v = min(values)
+        why = f"{what} must be >= {low}, got {v}"
+    else:
+        return
+    raise ValueError(what.format(v) if "{" in what else why)
+
+
 def _parse(v: object) -> object:
     """v as a Fraction if it is an int, a Fraction or a rational string;
     any other value passes through for the constructor to reject."""
@@ -144,8 +166,7 @@ class MarkovMatrix:
 
     @classmethod
     def identity(cls, size: int) -> "MarkovMatrix":
-        if type(size) is not int or size < 1:  # a bool is not a size
-            raise ValueError(f"not a Markov matrix: size {size!r}")
+        _require_ints((size,), "not a Markov matrix: size {!r}", 1)
         return cls.from_rows(
             [[1 if x == y else 0 for x in range(size)] for y in range(size)]
         )
@@ -153,8 +174,7 @@ class MarkovMatrix:
     @classmethod
     def uniform(cls, size: int) -> "MarkovMatrix":
         """The all-1/N matrix: projection onto the constant vectors."""
-        if type(size) is not int or size < 1:  # a bool is not a size
-            raise ValueError(f"not a Markov matrix: size {size!r}")
+        _require_ints((size,), "not a Markov matrix: size {!r}", 1)
         w = Fraction(1, size)
         return cls(tuple((w,) * size for _ in range(size)))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 
-from roelcke import density
+from roelcke import density, markov
 from roelcke.markov import CouplingMatrix, MarkovMatrix
 from roelcke.space import (
     AtomSpace,
@@ -28,6 +28,7 @@ from roelcke.wap import ObservableVector
 
 
 def random_permutation(rng: Random, atom_count: int) -> Automorphism:
+    markov._require_ints((atom_count,), "atom_count", 1)
     fwd = list(range(atom_count))
     rng.shuffle(fwd)
     return Automorphism(tuple(fwd))
@@ -64,8 +65,7 @@ def random_small_deviation(
     per-cell budget keeps the deviation strictly under epsilon, which must
     be positive.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    markov._require_positive(epsilon)
     N = partition.space.atom_count
     n = partition.cell_count
     T = random_cell_preserving(rng, partition)
@@ -110,10 +110,9 @@ def random_close_pair(
     target tolerance, which forces the coupling distance under it.  Epsilon
     must be positive.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    markov._require_positive(epsilon)
     n = partition.cell_count
-    half = epsilon / (2 * n * n)
+    half = Fraction(epsilon, 2 * n * n)
     S = random_permutation(rng, partition.space.atom_count)
     P = random_small_deviation(rng, partition, half)
     Q = random_small_deviation(rng, partition, half)
@@ -126,8 +125,7 @@ def random_markov(rng: Random, size: int, terms: int = 4) -> MarkovMatrix:
 
     The matrix of T has its ones at (T(x), x): row y has its one at T^{-1}(y).
     """
-    if terms < 1:
-        raise ValueError(f"terms must be >= 1, got {terms}")
+    markov._require_ints((size, terms), "size and terms", 1)
     perms = [inverse(random_permutation(rng, size)).forward for _ in range(terms)]
     raw = [rng.randrange(1, 100) for _ in range(terms)]
     total = sum(raw)

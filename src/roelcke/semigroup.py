@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 import sympy  # unused; perfbench times this import until ROADMAP item 1
 
-from roelcke.markov import MarkovMatrix, product
+from roelcke.markov import MarkovMatrix, _require_ints, product
 from roelcke.space import AtomSpace, Automorphism, Partition, make_partition
 
 
@@ -304,8 +304,10 @@ def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
     matrix, both nonnegative.  Each root is built through the validating
     constructor and proven idempotent; a failed proof raises.
     """
-    if type(N) is not int or not 2 <= N <= CLASSIFY_MAX_ATOMS:
-        raise ValueError(f"regime is 2 <= N <= {CLASSIFY_MAX_ATOMS}, got {N!r}")
+    regime = f"regime is 2 <= N <= {CLASSIFY_MAX_ATOMS}, got {{!r}}"
+    _require_ints((N,), regime, 2)
+    if N > CLASSIFY_MAX_ATOMS:
+        raise ValueError(regime.format(N))
     orbits = _pair_orbits(N)
     if [{y == x for y, x in orbit} for orbit in orbits] != [{True}, {False}]:
         raise RuntimeError(f"pair orbits at N={N} are not the diagonal and the rest")

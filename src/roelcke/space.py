@@ -18,14 +18,6 @@ from typing import Sequence
 from roelcke import markov
 
 
-def _require_ints(values: Sequence[int], what: str) -> None:
-    """Raise unless every value is exactly an int."""
-    # type(), not isinstance: a bool is an int, but prints as True.
-    if not set(map(type, values)) <= {int}:
-        v = next(v for v in values if type(v) is not int)
-        raise ValueError(f"{what} {v!r} is not an int")
-
-
 @dataclass(frozen=True)
 class AtomSpace:
     """N atoms, each of measure 1/N; total measure exactly 1."""
@@ -33,9 +25,7 @@ class AtomSpace:
     atom_count: int
 
     def __post_init__(self) -> None:
-        _require_ints((self.atom_count,), "atom_count")
-        if self.atom_count < 1:
-            raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
+        markov._require_ints((self.atom_count,), "atom_count", 1)
 
 
 @dataclass(frozen=True)
@@ -53,13 +43,11 @@ class Partition:
 
     def __post_init__(self) -> None:
         labels = self.labels
-        _require_ints(labels, "label")
+        markov._require_ints(labels, "label", 1)
         if len(labels) != self.space.atom_count:
             raise ValueError(
                 f"labels has length {len(labels)}, expected {self.space.atom_count}"
             )
-        if min(labels) < 1:
-            raise ValueError(f"labels must be >= 1, got {min(labels)}")
         seen = set(labels)
         for cell in range(1, max(labels) + 1):
             if cell not in seen:
@@ -93,12 +81,16 @@ def make_partition(space: AtomSpace, labels: Sequence[int]) -> Partition:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """A measure-preserving automorphism: a permutation of atom indices."""
+    """A measure-preserving automorphism: a permutation of atom indices,
+    given as the tuple of images of 0..N-1, N >= 1."""
 
     forward: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _require_ints(self.forward, "image")
+        if type(self.forward) is not tuple:  # a list is unhashable
+            raise ValueError(f"forward {self.forward!r} is not a tuple")
+        markov._require_ints((len(self.forward),), "atom_count", 1)
+        markov._require_ints(self.forward, "image")
         N = len(self.forward)
         seen = [False] * N
         for y in self.forward:
@@ -122,6 +114,7 @@ class Automorphism:
 
 
 def identity(atom_count: int) -> Automorphism:
+    markov._require_ints((atom_count,), "atom_count", 1)
     return Automorphism(tuple(range(atom_count)))
 
 

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 from typing import Iterator
 
-from roelcke import density
+from roelcke import density, markov
 from roelcke.space import Automorphism, Partition, compose, joint_counts
 
 
@@ -68,6 +68,7 @@ def roelcke_related(
     Requires the product identity to hold atom-exactly and both outer
     factors to have deviation strictly below epsilon.
     """
+    markov._require_positive(epsilon)
     if compose(P, compose(S, Q)).forward != T.forward:
         return False
     return (
@@ -122,8 +123,7 @@ NET_GRID_CAP = 100_000
 def _net_step(partition: Partition, epsilon: Fraction) -> int:
     """The net's grid step s in atoms: the largest divisor of all cell sizes
     not exceeding epsilon*N (at least 1).  epsilon must be positive."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    markov._require_positive(epsilon)
     g = math.gcd(*partition.cell_sizes)
     cap = max(1, math.floor(epsilon * partition.space.atom_count))
     return max(d for d in range(1, cap + 1) if g % d == 0)

@@ -2,12 +2,12 @@
 
 These coefficient functions are positive definite on the group and
 uniformly continuous for the two-sided entourages; the two facts are
-certified here by a Gram spectral check and an explicit modulus
-inequality.  They also separate distinct Markov operators, but that needs
-no search: at N atoms, <K 1_x, 1_y> for the indicators of atoms x and y
-is K's entry in row y and column x over N, so matrix equality decides it.
-Spectral computations run in floating point with a documented tolerance;
-everything else stays exact when the inputs are rational.
+certified here by the exact group law, which makes the coefficient matrix
+a Gram matrix, and an explicit modulus inequality.  They also separate
+distinct Markov operators, but that needs no search: <K 1_x, 1_y> for the
+indicators of atoms x and y is K's entry (y, x) over N, so matrix equality
+decides it.  The Gram spectrum and the modulus run in floating point, the
+modulus with a documented tolerance; the rest is exact on rational inputs.
 """
 from __future__ import annotations
 
@@ -18,11 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from roelcke.markov import MarkovMatrix
+from roelcke.markov import MarkovMatrix, _require_exact
 from roelcke.space import Automorphism, compose, inverse
-
-#: Spectral slack for the positive-semidefiniteness certificate.
-PSD_TOLERANCE = 1e-9
 
 #: Slack for the uniform-continuity modulus inequality, checked in floats.
 MODULUS_TOLERANCE = 1e-12
@@ -74,21 +71,24 @@ def matrix_coefficient(K: MarkovMatrix, f: ObservableVector, g: ObservableVector
 def gram_psd_check(
     f: ObservableVector, elements: Sequence[Automorphism]
 ) -> tuple[float, bool]:
-    """Minimum eigenvalue of the Gram matrix <U_{a^{-1}b} f, f>.
-
-    Since the translations are unitary, the (a, b) entry equals the inner
-    product of the b- and a-translates of f, so the matrix is a genuine
-    Gram matrix and must be positive semidefinite up to spectral noise.
+    """Minimum eigenvalue, in floats, of G[a][b] = <U_{a^{-1}b} f, f>, and
+    the exact verdict that G is PSD: the group law G[a][b] = <U_a f, U_b f>
+    for every pair, through `translate`, `compose`, `inverse` and `inner`,
+    makes G a Gram matrix.  A float Gram matrix of translates is PSD even
+    when `translate` is no unitary action.  f's values must be exact.
     """
     if not elements:
         raise ValueError("need at least one group element")
-    N = f.atom_count
-    vecs = np.array(
-        [[float(v) for v in f.translate(g).values] for g in elements]
-    )
-    gram = vecs @ vecs.T / N
+    _require_exact((f.values,), "observable value")
+    translates = [f.translate(g) for g in elements]
+    vecs = np.array([[float(v) for v in t.values] for t in translates])
+    gram = vecs @ vecs.T / f.atom_count
     min_eig = float(np.linalg.eigvalsh(gram)[0])
-    return min_eig, min_eig >= -PSD_TOLERANCE
+    return min_eig, all(
+        f.translate(compose(inverse(a), b)).inner(f) == ta.inner(tb)
+        for a, ta in zip(elements, translates)
+        for b, tb in zip(elements, translates)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 from fractions import Fraction
 from random import Random
 
-import conftest
 import pytest
 
 import roelcke as rk
@@ -86,8 +85,9 @@ class TestGramPsd:
 
     def test_group_law_rejects_a_non_action(self, monkeypatch):
         # A translate that composes with a fixed shift is not a group
-        # action, yet its Gram matrix stays positive semidefinite; the exact
-        # group-law check of criterion 9 must fail on criterion 9's inputs.
+        # action, yet the float Gram matrix of its translates stays positive
+        # semidefinite; the exact group-law verdict must fail on criterion
+        # 9's inputs, while the eigenvalue still reads nonnegative.
         shift = rk.Automorphism(tuple((x + 1) % 32 for x in range(32)))
         lawful = ObservableVector.translate
         monkeypatch.setattr(ObservableVector, "translate",
@@ -96,8 +96,8 @@ class TestGramPsd:
         for _ in range(10):
             f = random_observable(rng, 32)
             elements = [random_permutation(rng, 32) for _ in range(10)]
-            assert rk.gram_psd_check(f, elements)[1]
-            assert not conftest.group_law_holds(f, elements)
+            min_eig, ok = rk.gram_psd_check(f, elements)
+            assert min_eig >= -1e-9 and not ok
 
 
 class TestModulus:
