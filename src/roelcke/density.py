@@ -5,8 +5,9 @@ permutation (row-major, order-preserving filling), controlled rounding of an
 exact coupling onto the (1/N)-grid (every entry to an adjacent multiple of
 1/N, so within 1/N, with the marginals exact), and the classical convex
 decomposition of a doubly stochastic matrix into permutation matrices via
-perfect matchings.  Rounding and then realizing approximates any Markov
-operator's partition image by an automorphism's joint distribution.
+perfect matchings, each term an automorphism whose Koopman matrix carries
+its weight.  Rounding and then realizing approximates any Markov operator's
+partition image by an automorphism's joint distribution.
 """
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from roelcke.markov import CouplingMatrix, MarkovMatrix
-from roelcke.space import Automorphism, Partition
+from roelcke.markov import CouplingMatrix, MarkovMatrix, _require_ints
+from roelcke.space import Automorphism, Partition, inverse
 
 
 class RealizationError(ValueError):
@@ -81,9 +82,10 @@ def round_to_grid(C: CouplingMatrix, N: int) -> CouplingMatrix:
     an integer.  The remainders are a fractional way to raise cells with a
     nonzero remainder by at most one unit each so that every shortfall is
     met, so an integral way exists (flow integrality), and
-    `_zero_one_table` finds it.  RealizationError unless N >= 1 and the
-    marginals are multiples of 1/N.
+    `_zero_one_table` finds it.  N must be an int; RealizationError unless
+    N >= 1 and the marginals are multiples of 1/N.
     """
+    _require_ints((N,), "N")
     if N < 1:
         raise RealizationError(f"N must be >= 1, got {N}")
     for m in C.marginals:
@@ -142,18 +144,19 @@ def _zero_one_table(
     return table
 
 
-def birkhoff(D: MarkovMatrix) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Decompose a doubly stochastic matrix into permutation matrices.
+def birkhoff(D: MarkovMatrix) -> list[tuple[Fraction, Automorphism]]:
+    """Decompose a doubly stochastic matrix into Koopman matrices.
 
     Greedy: extract a permutation supported on the positive entries,
     subtract its minimal weight, repeat.  Exact rational arithmetic gives an
-    exact reconstruction in at most (n-1)^2 + 1 terms.  Returned
-    permutations are row -> column maps, i.e. term k contributes weight_k at
-    entries (r, perm_k[r]).
+    exact reconstruction in at most (n-1)^2 + 1 terms.  Term k is
+    (weight_k, T_k) with D = sum of weight_k * koopman_matrix(T_k): the
+    matching is the row -> column map T_k^{-1}, since T_k(x) is the row that
+    holds column x's entry.
     """
     n = D.size
     work = [list(row) for row in D.entries]
-    terms: list[tuple[Fraction, tuple[int, ...]]] = []
+    terms: list[tuple[Fraction, Automorphism]] = []
     remaining = Fraction(1)
     while remaining > 0:
         support = [[v > 0 for v in row] for row in work]
@@ -161,17 +164,18 @@ def birkhoff(D: MarkovMatrix) -> list[tuple[Fraction, tuple[int, ...]]]:
         weight = min(work[r][perm[r]] for r in range(n))
         for r in range(n):
             work[r][perm[r]] -= weight
-        terms.append((weight, tuple(perm)))
+        terms.append((weight, inverse(Automorphism(tuple(perm)))))
         remaining -= weight
     return terms
 
 
 def birkhoff_reconstruct(
-    terms: Sequence[tuple[Fraction, Sequence[int]]], size: int
+    terms: Sequence[tuple[Fraction, Automorphism]], size: int
 ) -> list[list[Fraction]]:
-    """Sum the weighted permutation matrices of a decomposition."""
+    """Sum the weighted Koopman matrices of a decomposition: each term adds
+    its weight at (T(x), x)."""
     rows = [[Fraction(0)] * size for _ in range(size)]
-    for weight, perm in terms:
-        for r, c in enumerate(perm):
-            rows[r][c] += weight
+    for weight, T in terms:
+        for x, y in enumerate(T.forward):
+            rows[y][x] += weight
     return rows

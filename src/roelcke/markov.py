@@ -9,7 +9,7 @@ Matrices act on column vectors indexed by atoms; entry (y, x) is the weight
 transported from atom x to atom y.
 
 Entries are exact: each is an ``int`` (not a ``bool``) or a ``Fraction``,
-and both constructors reject anything else (a coupling's marginals too), so
+and the constructor rejects anything else (a coupling's marginals too), so
 no float reaches the exact arithmetic.  Each matrix also has one derived
 integer view, built on first use and cached like its idempotency verdict:
 D, the lcm of its denominators, and the numpy array A = D*K of integer
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
-_PARSED = {int, Fraction, str}  # what `MarkovMatrix.from_rows` converts
 _INT64_MAX = 2**63 - 1
 _ZERO = Fraction(0)  # every zero entry of a product
 
@@ -85,19 +84,6 @@ def _require_ints(values: Sequence[int], what: str, low: int | None = None) -> N
     else:
         return
     raise ValueError(what.format(v) if "{" in what else why)
-
-
-def _parse(v: object) -> object:
-    """v as a Fraction if it is an int, a Fraction or a rational string;
-    any other value passes through for the constructor to reject."""
-    if type(v) not in _PARSED:
-        return v
-    try:  # Fraction("1/0") raises ZeroDivisionError, not ValueError
-        return Fraction(v)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(
-            f"not a Markov matrix: entry {v!r} is not a rational"
-        ) from None
 
 
 def check_markov(rows: Rows) -> str | None:
@@ -159,17 +145,12 @@ class MarkovMatrix:
             raise ValueError(f"not a Markov matrix: {violation}")
 
     @classmethod
-    def from_rows(cls, rows: Rows) -> "MarkovMatrix":
-        """Parse ints, Fractions and "p/q" strings; the constructor rejects
-        any other value, floats and bools included."""
-        return cls(tuple(tuple(_parse(v) for v in row) for row in rows))
-
-    @classmethod
     def identity(cls, size: int) -> "MarkovMatrix":
         _require_ints((size,), "not a Markov matrix: size {!r}", 1)
-        return cls.from_rows(
-            [[1 if x == y else 0 for x in range(size)] for y in range(size)]
-        )
+        one = Fraction(1)
+        return cls(tuple(
+            tuple(one if x == y else _ZERO for x in range(size)) for y in range(size)
+        ))
 
     @classmethod
     def uniform(cls, size: int) -> "MarkovMatrix":

@@ -19,7 +19,6 @@ from roelcke.space import (
     Automorphism,
     Partition,
     compose,
-    inverse,
     joint_matrix,
     make_partition,
 )
@@ -36,6 +35,7 @@ def random_permutation(rng: Random, atom_count: int) -> Automorphism:
 
 def random_partition(rng: Random, atom_count: int, cell_count: int) -> Partition:
     """Uniformly shuffled labels with every cell guaranteed nonempty."""
+    markov._require_ints((atom_count, cell_count), "atom_count and cell_count")
     if not 1 <= cell_count <= atom_count:
         raise ValueError(
             f"need 1 <= cell_count <= atom_count, got {cell_count} and {atom_count}"
@@ -121,12 +121,9 @@ def random_close_pair(
 
 
 def random_markov(rng: Random, size: int, terms: int = 4) -> MarkovMatrix:
-    """Normalized rational-weight sum of random permutation matrices.
-
-    The matrix of T has its ones at (T(x), x): row y has its one at T^{-1}(y).
-    """
+    """Normalized rational-weight sum of random Koopman matrices."""
     markov._require_ints((size, terms), "size and terms", 1)
-    perms = [inverse(random_permutation(rng, size)).forward for _ in range(terms)]
+    perms = [random_permutation(rng, size) for _ in range(terms)]
     raw = [rng.randrange(1, 100) for _ in range(terms)]
     total = sum(raw)
     weighted = [(Fraction(w, total), p) for w, p in zip(raw, perms)]
@@ -142,6 +139,7 @@ def random_realizable_coupling(rng: Random, partition: Partition) -> CouplingMat
 
 def random_observable(rng: Random, atom_count: int) -> ObservableVector:
     """Rational-valued observable with entries k/8, k in [-8, 8]."""
+    markov._require_ints((atom_count,), "atom_count", 1)
     return ObservableVector(
         tuple(Fraction(rng.randrange(-8, 9), 8) for _ in range(atom_count))
     )

@@ -138,6 +138,7 @@ def inverse(T: Automorphism) -> Automorphism:
 
 def swap(atom_count: int, a: int, b: int) -> Automorphism:
     """The transposition of atoms a and b, both in 0..atom_count-1."""
+    markov._require_ints((atom_count, a, b), "atom_count and atoms")
     if not (0 <= a < atom_count and 0 <= b < atom_count):
         raise ValueError(f"atoms {a} and {b} are not both in 0..{atom_count - 1}")
     fwd = list(range(atom_count))

@@ -6,8 +6,10 @@ certified here by the exact group law, which makes the coefficient matrix
 a Gram matrix, and an explicit modulus inequality.  They also separate
 distinct Markov operators, but that needs no search: <K 1_x, 1_y> for the
 indicators of atoms x and y is K's entry (y, x) over N, so matrix equality
-decides it.  The Gram spectrum and the modulus run in floating point, the
-modulus with a documented tolerance; the rest is exact on rational inputs.
+decides it.  Observable values are exact (ints or Fractions), so every
+inner product and coefficient is an exact rational; only the Gram spectrum
+and the modulus run in floating point, the modulus with a documented
+tolerance.
 """
 from __future__ import annotations
 
@@ -27,27 +29,25 @@ MODULUS_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class ObservableVector:
-    """One value per atom; inner products are weighted by the atom mass 1/N.
-
-    Values may be exact rationals or floats; arithmetic follows the inputs.
-    """
+    """One exact value (an int or a Fraction) per atom; inner products are
+    weighted by the atom mass 1/N."""
 
     values: tuple
 
     def __post_init__(self):
         if not self.values:
             raise ValueError("an observable needs at least one atom")
+        _require_exact((self.values,), "observable value")
 
     @property
     def atom_count(self) -> int:
         return len(self.values)
 
-    def inner(self, other: "ObservableVector"):
+    def inner(self, other: "ObservableVector") -> Fraction:
         if self.atom_count != other.atom_count:
             raise ValueError("dimension mismatch")
-        # Starting from Fraction(0) keeps int values exact; floats stay floats.
-        total = sum((a * b for a, b in zip(self.values, other.values)), Fraction(0))
-        return total / self.atom_count
+        total = sum(a * b for a, b in zip(self.values, other.values))
+        return Fraction(total, self.atom_count)
 
     def translate(self, g: Automorphism) -> "ObservableVector":
         """The composition with g^{-1}: value at g(x) is the value at x."""
@@ -60,7 +60,7 @@ class ObservableVector:
 
 
 def matrix_coefficient(K: MarkovMatrix, f: ObservableVector, g: ObservableVector):
-    """<Kf, g> with the mass-weighted inner product."""
+    """The exact <Kf, g>, with the mass-weighted inner product."""
     N = K.size
     if f.atom_count != N:
         raise ValueError("dimension mismatch")
@@ -75,11 +75,10 @@ def gram_psd_check(
     the exact verdict that G is PSD: the group law G[a][b] = <U_a f, U_b f>
     for every pair, through `translate`, `compose`, `inverse` and `inner`,
     makes G a Gram matrix.  A float Gram matrix of translates is PSD even
-    when `translate` is no unitary action.  f's values must be exact.
+    when `translate` is no unitary action.
     """
     if not elements:
         raise ValueError("need at least one group element")
-    _require_exact((f.values,), "observable value")
     translates = [f.translate(g) for g in elements]
     vecs = np.array([[float(v) for v in t.values] for t in translates])
     gram = vecs @ vecs.T / f.atom_count

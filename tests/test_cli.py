@@ -1,8 +1,11 @@
 """Experiment runner: determinism, serialization, exit codes."""
 import csv
 import hashlib
+import importlib
 import json
+from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +13,14 @@ import pytest
 from roelcke import cli, semigroup
 from roelcke.cli import (
     ExperimentConfig,
+    build_parser,
     export_csv,
     export_json,
     main,
     run_suite,
 )
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def config(**kw):
@@ -122,6 +128,26 @@ def test_report_bytes_pinned(args, tmp_path, capsys):
     report.pop("timestamp")
     blob = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_REPORTS[args]
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_reports_match_the_benchmark_reference(suite, tmp_path, monkeypatch):
+    # The benchmark's cli-cold oracle compares the report of every suite at
+    # seeds 0-4, run with its arguments, against these digests; here they
+    # run in-process, and the reference is only read.
+    monkeypatch.syspath_prepend(str(BENCH_DIR))  # workloads imports oracles
+    oracles = importlib.import_module("oracles")
+    workloads = importlib.import_module("workloads")
+    reference = json.loads(workloads.CLI_REFERENCE.read_text())["digests"][suite]
+    digests = {}
+    for k in workloads.CLI_SEEDS:
+        out = str(tmp_path / f"{suite}-{k}.json")
+        args = build_parser().parse_args(workloads.cli_argv(suite, k, out))
+        config = ExperimentConfig(**{f.name: getattr(args, f.name)
+                                     for f in fields(ExperimentConfig)})
+        export_json(run_suite(config), out)
+        digests[str(k)] = oracles.report_digest(out)
+    assert digests == reference
 
 
 class TestExport:

@@ -85,6 +85,13 @@ class TestRealize:
         with pytest.raises(RealizationError, match="marginals"):
             rk.realize(C, alpha)
 
+    def test_coupling_size_mismatch_rejected(self):
+        alpha = rk.make_partition(AtomSpace(3), [1, 2, 3])
+        h = Fraction(1, 2)
+        C = coupling([[h, 0], [0, h]], [h, h])
+        with pytest.raises(RealizationError, match="coupling size does not match"):
+            rk.realize(C, alpha)
+
 
 class TestRoundToGrid:
     def test_already_on_grid_unchanged(self):
@@ -160,7 +167,7 @@ class TestBirkhoff:
     def test_half_half(self):
         D = rk.MarkovMatrix.uniform(2)
         terms = rk.birkhoff(D)
-        assert sorted(t[1] for t in terms) == [(0, 1), (1, 0)]
+        assert sorted(t[1].forward for t in terms) == [(0, 1), (1, 0)]
         assert all(t[0] == Fraction(1, 2) for t in terms)
 
     def test_random_sweep_exact_reconstruction(self):
@@ -173,6 +180,11 @@ class TestBirkhoff:
             assert tuple(tuple(r) for r in recon) == D.entries
             assert len(terms) <= (n - 1) ** 2 + 1
             assert sum(t[0] for t in terms) == 1
+            # Each term is an automorphism T carrying its weight at (T(x), x).
+            assert all(type(w) is Fraction and type(T) is rk.Automorphism
+                       for w, T in terms)
+            matrices = [rk.koopman_matrix(T) for _, T in terms]
+            assert rk.convex_combination([w for w, _ in terms], matrices) == D
 
     def test_deterministic(self):
         D = random_markov(Random(4), 5)

@@ -193,6 +193,14 @@ class TestForwardBound:
                 alpha, Fraction(1, 4),
             )
 
+    def test_large_q_deviation_rejected(self):
+        with pytest.raises(ValueError) as err:
+            rk.forward_bound_check(
+                rk.identity(4), rk.identity(4), rk.swap(4, 1, 2),
+                halves(4), Fraction(1, 4),
+            )
+        assert str(err.value) == "u_deviation(Q) = 1/2 is not below epsilon = 1/4"
+
 
 class TestFactorize:
     def test_equal_pair_gives_identities(self):

@@ -35,8 +35,8 @@ class TestPredicate:
 
     def test_constructor_rejects(self):
         with pytest.raises(ValueError, match="row 0"):
-            MarkovMatrix.from_rows([[Fraction(1, 2), Fraction(1, 4)],
-                                    [Fraction(1, 2), Fraction(3, 4)]])
+            MarkovMatrix(((Fraction(1, 2), Fraction(1, 4)),
+                          (Fraction(1, 2), Fraction(3, 4))))
 
 
 H, Q = Fraction(1, 2), Fraction(1, 4)
@@ -100,32 +100,9 @@ class TestInputRegime:
         ((True, False), (False, True)),
     ], ids=["floats", "one-float", "bools"])
     def test_inexact_entries_rejected(self, entries):
-        with pytest.raises(ValueError, match="not an int or a Fraction"):
-            MarkovMatrix(entries)
-
-    @pytest.mark.parametrize("rows", [
-        [[0.5, 0.5], [0.5, 0.5]],
-        [[True, False], [False, True]],
-    ], ids=["floats", "bools"])
-    def test_from_rows_rejects_inexact_entries(self, rows):
-        # Only ints, Fractions and strings are converted; anything else
-        # reaches the constructor and is refused with its message.
         with pytest.raises(ValueError, match="not a Markov matrix: entry .* "
                                              "is not an int or a Fraction"):
-            MarkovMatrix.from_rows(rows)
-
-    @pytest.mark.parametrize("text", ["1/0", "abc"], ids=["zero-denominator", "no-number"])
-    def test_from_rows_names_an_unparsable_string(self, text):
-        # Fraction("1/0") raises ZeroDivisionError and Fraction("abc") a
-        # ValueError that does not name the entry; both become one message.
-        with pytest.raises(ValueError) as err:
-            MarkovMatrix.from_rows([[text]])
-        assert str(err.value) == f"not a Markov matrix: entry {text!r} is not a rational"
-
-    def test_from_rows_parses_ints_fractions_and_strings(self):
-        K = MarkovMatrix.from_rows([[1, 0], [0, 1]])
-        assert K == MarkovMatrix.from_rows([["1", "0/3"], [Fraction(0), "1/1"]])
-        assert all(type(v) is Fraction for row in K.entries for v in row)
+            MarkovMatrix(entries)
 
     @pytest.mark.parametrize("entries, marginals", [
         (((0.5, 0.0), (0.0, 0.5)), (0.5, 0.5)),
@@ -263,10 +240,10 @@ class TestProductReference:
 
     def test_large_coprime_denominators(self):
         p, q = 1_000_000_007, 998_244_353
-        K1 = MarkovMatrix.from_rows([[Fraction(1, p), Fraction(p - 1, p)],
-                                     [Fraction(p - 1, p), Fraction(1, p)]])
-        K2 = MarkovMatrix.from_rows([[Fraction(2, q), Fraction(q - 2, q)],
-                                     [Fraction(q - 2, q), Fraction(2, q)]])
+        K1 = MarkovMatrix(((Fraction(1, p), Fraction(p - 1, p)),
+                           (Fraction(p - 1, p), Fraction(1, p))))
+        K2 = MarkovMatrix(((Fraction(2, q), Fraction(q - 2, q)),
+                           (Fraction(q - 2, q), Fraction(2, q))))
         assert_matches_reference(K1, K2)
         assert rk.product(K1, K2).entries[0][0].denominator == p * q
 
@@ -290,9 +267,9 @@ class TestProductReference:
     def test_power_chain_crosses_the_int64_bound(self):
         # K^m has denominator 7^m; each step multiplies K^m by K, over
         # 7^(m+1), which passes 2**63 - 1 at m + 1 = 23.
-        K = MarkovMatrix.from_rows(
-            [["1/7", "2/7", "4/7"], ["4/7", "1/7", "2/7"], ["2/7", "4/7", "1/7"]]
-        )
+        K = MarkovMatrix(tuple(
+            tuple(Fraction(k, 7) for k in row) for row in ((1, 2, 4), (4, 1, 2), (2, 4, 1))
+        ))
         power, sides = K, set()
         for _ in range(30):
             sides.add(denominators_lcm(power) * denominators_lcm(K) > INT64_MAX)
@@ -353,8 +330,8 @@ class TestProduct:
     def test_uniform_absorbs(self):
         # Direct multiplication: the all-1/2 matrix eats any 2x2 Markov K.
         U = MarkovMatrix.uniform(2)
-        K = MarkovMatrix.from_rows([[Fraction(1, 3), Fraction(2, 3)],
-                                    [Fraction(2, 3), Fraction(1, 3)]])
+        K = MarkovMatrix(((Fraction(1, 3), Fraction(2, 3)),
+                          (Fraction(2, 3), Fraction(1, 3))))
         assert rk.product(U, K).entries == U.entries
 
     def test_size_mismatch(self):
@@ -401,6 +378,18 @@ class TestProduct:
         with pytest.raises(ValueError, match="nonnegative"):
             rk.convex_combination([Fraction(2), Fraction(-1)], [K, K])
 
+    @pytest.mark.parametrize("weights, sizes, message", [
+        ([], [], "weights and matrices must be nonempty and aligned"),
+        ([Fraction(1)], [2, 2], "weights and matrices must be nonempty and aligned"),
+        ([H, Q], [2, 2], "weights must be nonnegative and sum to 1"),
+        ([H, H], [2, 3], "matrix sizes differ"),
+    ], ids=["empty", "misaligned", "sum-below-1", "sizes-differ"])
+    def test_convex_combination_refuses(self, weights, sizes, message):
+        matrices = [MarkovMatrix.identity(n) for n in sizes]
+        with pytest.raises(ValueError) as err:
+            rk.convex_combination(weights, matrices)
+        assert str(err.value) == message
+
 
 class TestCompress:
     def setup_method(self):
@@ -415,6 +404,11 @@ class TestCompress:
         C = compress(rk.koopman_matrix(T), self.alpha)
         assert C.entries == rk.joint_matrix(T, self.alpha).entries
         assert C.to_strings() == [["1/4", "1/4"], ["1/4", "1/4"]]
+
+    def test_different_spaces_rejected(self):
+        with pytest.raises(ValueError) as err:
+            compress(MarkovMatrix.identity(3), self.alpha)
+        assert str(err.value) == "matrix and partition live on different spaces"
 
     def test_uniform_gives_product_masses(self):
         alpha = rk.make_partition(AtomSpace(4), [1, 1, 1, 2])
@@ -441,9 +435,10 @@ class TestCompress:
 class TestSerialization:
     def test_round_trip(self):
         K = random_markov(Random(77), 5)
-        assert MarkovMatrix.from_rows(K.to_strings()).entries == K.entries
+        parsed = tuple(tuple(map(Fraction, row)) for row in K.to_strings())
+        assert MarkovMatrix(parsed).entries == K.entries
 
     def test_strings_are_lowest_terms(self):
-        K = MarkovMatrix.from_rows([[Fraction(2, 4), Fraction(1, 2)],
-                                    [Fraction(1, 2), Fraction(1, 2)]])
+        K = MarkovMatrix(((Fraction(2, 4), Fraction(1, 2)),
+                          (Fraction(1, 2), Fraction(1, 2))))
         assert K.to_strings() == [["1/2", "1/2"], ["1/2", "1/2"]]

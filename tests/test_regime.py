@@ -21,6 +21,8 @@ from roelcke.factorization import exhaustive_left_factor_scan, forward_bound_che
 from roelcke.sampling import (
     random_close_pair,
     random_markov,
+    random_observable,
+    random_partition,
     random_permutation,
     random_small_deviation,
 )
@@ -94,8 +96,17 @@ ROWS = [
     ("config-trials-zero", "cli.ExperimentConfig.__post_init__",
      lambda rng: ExperimentConfig("forward", trials=0),
      "atoms, cells and trials must be >= 1, got 0"),
-    ("gram-float-observable", None,
-     lambda rng: rk.gram_psd_check(ObservableVector((0.5, 1.5)), [rk.identity(2)]),
+    ("swap-float", "space.swap",
+     lambda rng: rk.swap(2.5, 0, 1), "atom_count and atoms 2.5 is not an int"),
+    ("partition-float", "sampling.random_partition",
+     lambda rng: random_partition(rng, 2.5, 1),
+     "atom_count and cell_count 2.5 is not an int"),
+    ("observable-float", "sampling.random_observable",
+     lambda rng: random_observable(rng, 2.5), "atom_count 2.5 is not an int"),
+    ("round-to-grid-float", "density.round_to_grid",
+     lambda rng: rk.round_to_grid(rk.joint_matrix(S, P), 2.5), "N 2.5 is not an int"),
+    ("observable-float-value", None,
+     lambda rng: ObservableVector((0.5, 1.5)),
      "observable value 0.5 is not an int or a Fraction"),
 ]
 

@@ -99,6 +99,11 @@ class TestOrder:
             with pytest.raises(ValueError, match="first argument is not idempotent"):
                 rk.order_check(K, rk.MarkovMatrix.identity(3))
 
+    def test_rejects_non_idempotent_second_argument(self):
+        K = random_markov(Random(2), 3)
+        with pytest.raises(ValueError, match="second argument is not idempotent"):
+            rk.order_check(rk.MarkovMatrix.identity(3), K)
+
     def test_idempotency_proven_once_per_object(self, monkeypatch):
         calls = []
         original = markov.product
@@ -142,6 +147,17 @@ class TestCesaro:
         rep = rk.cesaro_idempotent(rk.MarkovMatrix.identity(3))
         assert rep.classification == "identity"
         assert rep.idempotency_defect < 1e-12
+
+    def test_slow_mixing_window_classified_other(self):
+        # K = (1 - d) I + d C, C a 4-cycle: the support is one class, so the
+        # exact limit is J/4, but with d = 1/1000 the first windows of powers
+        # agree to tol = 1e-2 while they are still near I.
+        d = Fraction(1, 1000)
+        C = rk.koopman_matrix(rk.Automorphism((1, 2, 3, 0)))
+        K = rk.convex_combination([1 - d, d], [rk.MarkovMatrix.identity(4), C])
+        rep = rk.cesaro_idempotent(K, tol=1e-2)
+        assert rep.classification == "other"
+        assert rep.iterations == 4
 
     def test_two_cycle(self):
         rep = rk.cesaro_idempotent(rk.koopman_matrix(rk.swap(2, 0, 1)))
@@ -265,7 +281,7 @@ def block_cycle(weights):
         for a in range(2):
             for b in range(2):
                 rows[2 * s + b][2 * r + a] = w if a == b else 1 - w
-    return rk.MarkovMatrix.from_rows(rows)
+    return rk.MarkovMatrix(tuple(map(tuple, rows)))
 
 
 class TestPowerIdempotent:
@@ -306,13 +322,13 @@ class TestPowerIdempotent:
         # Classes {0} and {1, 2, 3, 4}; the second alternates between its
         # subclasses {1, 3} and {2, 4}.
         h = Fraction(1, 2)
-        K = rk.MarkovMatrix.from_rows([
-            [1, 0, 0, 0, 0],
-            [0, 0, h, 0, h],
-            [0, h, 0, h, 0],
-            [0, 0, h, 0, h],
-            [0, h, 0, h, 0],
-        ])
+        K = rk.MarkovMatrix((
+            (1, 0, 0, 0, 0),
+            (0, 0, h, 0, h),
+            (0, h, 0, h, 0),
+            (0, 0, h, 0, h),
+            (0, h, 0, h, 0),
+        ))
         labels, sublabels = semigroup._support_classes(K)
         assert labels == [1, 2, 2, 2, 2]
         assert sublabels == [1, 2, 3, 2, 3]
@@ -405,6 +421,10 @@ class TestConjugate:
             lhs = rk.conjugate(rk.product(K1, K2), g)
             rhs = rk.product(rk.conjugate(K1, g), rk.conjugate(K2, g))
             assert lhs.entries == rhs.entries
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            rk.conjugate(rk.MarkovMatrix.identity(3), rk.identity(4))
 
     def test_markov_preserved(self):
         rng = Random(10)

@@ -21,9 +21,12 @@ class TestObservable:
         assert type(f.inner(f)) is Fraction and f.inner(f) == Fraction(14, 3)
         assert f.inner(f) == rk.matrix_coefficient(rk.MarkovMatrix.identity(3), f, f)
 
-    def test_inner_float_values_stay_float(self):
-        f = ObservableVector((0.5, 1.5))
-        assert type(f.inner(f)) is float and f.inner(f) == 1.25
+    def test_dimension_mismatch(self):
+        f, g = ObservableVector((1, 0)), ObservableVector((1, 0, 0))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f.inner(g)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            f.translate(rk.identity(3))
 
 
 class TestMatrixCoefficient:
@@ -64,6 +67,10 @@ class TestMatrixCoefficient:
 
 
 class TestGramPsd:
+    def test_no_elements_rejected(self):
+        with pytest.raises(ValueError, match="need at least one group element"):
+            rk.gram_psd_check(ObservableVector((1, 0)), [])
+
     def test_single_element(self):
         f = ObservableVector((Fraction(1), Fraction(-3)))
         min_eig, ok = rk.gram_psd_check(f, [rk.identity(2)])
