@@ -22,8 +22,10 @@ from random import Random
 from typing import Callable, Iterator, get_type_hints
 
 from roelcke import density, factorization, sampling, semigroup, wap
-from roelcke.markov import MarkovMatrix, _require_ints, _require_positive
-from roelcke.space import compose, joint_matrix
+from roelcke.markov import (
+    MarkovMatrix, _require_ints, _require_positive, convex_combination,
+)
+from roelcke.space import compose, joint_matrix, koopman_matrix
 from roelcke.uniformity import (
     NetInfeasibleError,
     precompactness_net,
@@ -156,7 +158,7 @@ def _run_backward(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
 def _run_realize(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     for _ in range(cfg.trials):
         alpha = sampling.random_partition(rng, cfg.atoms, cfg.cells)
-        C = sampling.random_realizable_coupling(rng, alpha)
+        C = joint_matrix(sampling.random_permutation(rng, cfg.atoms), alpha)
         T = density.realize(C, alpha)
         exact = joint_matrix(T, alpha).entries == C.entries
         yield {"labels": alpha.labels, "C": C.to_strings()}, {"exact": exact}, exact
@@ -168,8 +170,8 @@ def _run_birkhoff(cfg: ExperimentConfig, rng: Random) -> Iterator[Trial]:
     for _ in range(cfg.trials):
         D = sampling.random_markov(rng, size, terms=size + 1)
         terms = density.birkhoff(D)
-        recon = density.birkhoff_reconstruct(terms, size)
-        exact = tuple(tuple(r) for r in recon) == D.entries
+        weights, matrices = [w for w, _ in terms], [koopman_matrix(T) for _, T in terms]
+        exact = convex_combination(weights, matrices) == D
         yield (
             {"D": D.to_strings()},
             {"terms": len(terms), "term_bound": bound, "exact": exact},

@@ -3,17 +3,16 @@
 Three pieces: exact realization of a partition-level coupling by a
 permutation (row-major, order-preserving filling), controlled rounding of an
 exact coupling onto the (1/N)-grid (every entry to an adjacent multiple of
-1/N, so within 1/N, with the marginals exact), and the classical convex
-decomposition of a doubly stochastic matrix into permutation matrices via
-perfect matchings, each term an automorphism whose Koopman matrix carries
-its weight.  Rounding and then realizing approximates any Markov operator's
-partition image by an automorphism's joint distribution.
+1/N, so within 1/N, with the marginals exact), and Birkhoff's convex
+decomposition of a doubly stochastic matrix via perfect matchings into
+weighted automorphisms, whose `koopman_matrix`es `convex_combination` sums
+back to the matrix.  Rounding and then realizing approximates any Markov
+operator's partition image by an automorphism's joint distribution.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from roelcke.markov import CouplingMatrix, MarkovMatrix, _require_ints
 from roelcke.space import Automorphism, Partition, inverse
@@ -167,15 +166,3 @@ def birkhoff(D: MarkovMatrix) -> list[tuple[Fraction, Automorphism]]:
         terms.append((weight, inverse(Automorphism(tuple(perm)))))
         remaining -= weight
     return terms
-
-
-def birkhoff_reconstruct(
-    terms: Sequence[tuple[Fraction, Automorphism]], size: int
-) -> list[list[Fraction]]:
-    """Sum the weighted Koopman matrices of a decomposition: each term adds
-    its weight at (T(x), x)."""
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    for weight, T in terms:
-        for x, y in enumerate(T.forward):
-            rows[y][x] += weight
-    return rows

@@ -21,12 +21,14 @@ stays structural.  The speed rests on each factor's entries sharing a small
 common denominator.
 
 Every product, like every other closed operation here, still passes through
-the validating constructor.  Both work on the support: `product` builds a
-``Fraction`` only for a nonzero entry (every zero is one shared object), and
-validation reads each row once, skipping zeros (see `_sums_violation`).  In
-a traced run of 32 x 32 `random_markov` products, 60 % zeros, a product
-took 0.58 ms per call and its validation 2.09 ms: validation is still most
-of the cost.  Skipping it needs a trusted constructor and integer storage
+the validating constructor.  Both work on the support: `product` and
+`convex_combination` build a ``Fraction`` only for a nonzero entry (every
+zero is one shared object, in `space.koopman_matrix` too), and validation
+reads each row once, skipping zeros (see `_sums_violation`).  In a traced
+run of 32 x 32 products of `random_markov` matrices (each a
+`convex_combination` of four Koopman matrices), 60 % zeros, a product took
+0.58 ms per call and its validation 2.09 ms: validation is still most of
+the cost.  Skipping it needs a trusted constructor and integer storage
 (ROADMAP item 2).  Those wait for the benchmark to stop keeping a record per
 item (item 1): until then a faster `order_check` reads there as a rise in
 peak memory.
@@ -48,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
 _INT64_MAX = 2**63 - 1
-_ZERO = Fraction(0)  # every zero entry of a product
+_ZERO = Fraction(0)  # every zero entry of a built matrix
 
 
 def _dtype(bound: int) -> type:
@@ -223,20 +225,22 @@ def product(K1: MarkovMatrix, K2: MarkovMatrix) -> MarkovMatrix:
 def convex_combination(
     weights: Sequence[Fraction], matrices: Sequence[MarkovMatrix]
 ) -> MarkovMatrix:
-    """Rational convex combination; stays Markov."""
+    """Rational convex combination; stays Markov.  Built on the support:
+    only nonzero w * K[y][x] are added, and every zero is the shared one."""
     if len(weights) != len(matrices) or not matrices:
         raise ValueError("weights and matrices must be nonempty and aligned")
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative and sum to 1")
     n = matrices[0].size
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[_ZERO] * n for _ in range(n)]
     for w, m in zip(weights, matrices):
         if m.size != n:
             raise ValueError("matrix sizes differ")
-        for y in range(n):
-            for x in range(n):
-                rows[y][x] += w * m.entries[y][x]
-    return MarkovMatrix(tuple(tuple(r) for r in rows))
+        for out, row in zip(rows, m.entries):
+            for x, v in enumerate(row):
+                if v and w:
+                    out[x] += w * v
+    return MarkovMatrix(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

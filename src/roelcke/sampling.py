@@ -3,23 +3,23 @@
 Everything takes an explicit `random.Random` (Mersenne Twister); with a
 fixed seed the generated objects, and therefore the experiment reports,
 are reproducible across runs and platforms.  Permutations come from the
-unbiased Fisher-Yates shuffle; Markov matrices from normalized rational
-convex combinations of permutation matrices, which keeps them exactly
-doubly stochastic without any iterative balancing.
+unbiased Fisher-Yates shuffle.  A Markov matrix is the `convex_combination`,
+with normalized rational weights, of random permutations' `koopman_matrix`es,
+which keeps it exactly doubly stochastic without any iterative balancing.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
 
-from roelcke import density, markov
-from roelcke.markov import CouplingMatrix, MarkovMatrix
+from roelcke import markov
+from roelcke.markov import MarkovMatrix
 from roelcke.space import (
     AtomSpace,
     Automorphism,
     Partition,
     compose,
-    joint_matrix,
+    koopman_matrix,
     make_partition,
 )
 from roelcke.uniformity import u_deviation
@@ -126,15 +126,8 @@ def random_markov(rng: Random, size: int, terms: int = 4) -> MarkovMatrix:
     perms = [random_permutation(rng, size) for _ in range(terms)]
     raw = [rng.randrange(1, 100) for _ in range(terms)]
     total = sum(raw)
-    weighted = [(Fraction(w, total), p) for w, p in zip(raw, perms)]
-    rows = density.birkhoff_reconstruct(weighted, size)
-    return MarkovMatrix(tuple(tuple(r) for r in rows))
-
-
-def random_realizable_coupling(rng: Random, partition: Partition) -> CouplingMatrix:
-    """A coupling realizable on the atom grid: the joint of a random map."""
-    T = random_permutation(rng, partition.space.atom_count)
-    return joint_matrix(T, partition)
+    weights = [Fraction(w, total) for w in raw]
+    return markov.convex_combination(weights, [koopman_matrix(T) for T in perms])
 
 
 def random_observable(rng: Random, atom_count: int) -> ObservableVector:

@@ -153,10 +153,10 @@ def koopman_matrix(T: Automorphism) -> markov.MarkovMatrix:
     composition with the inverse map.
     """
     N = T.atom_count
-    rows = [[Fraction(0)] * N for _ in range(N)]
+    rows = [[markov._ZERO] * N for _ in range(N)]
     for x, y in enumerate(T.forward):
         rows[y][x] = Fraction(1)
-    return markov.MarkovMatrix(tuple(tuple(r) for r in rows))
+    return markov.MarkovMatrix(tuple(map(tuple, rows)))
 
 
 def joint_counts(T: Automorphism, partition: Partition) -> list[list[int]]:

@@ -9,13 +9,16 @@ test it names fails on the mutated copy; one that names no killer is a
 known survivor and is only reported.  With --all, each mutant runs against
 every test and the failing test ids are printed, which is how a killer
 list is found.  Each mutant costs seconds to minutes, so pytest does not
-collect this file.  Exit status 0 when every mutant with killers is killed.
+collect this file.  A run still going after TIMEOUT_S seconds (a mutant
+whose loop never ends) is stopped with its whole process group and counts
+as a kill.  Exit status 0 when every mutant with killers is killed.
 """
 from __future__ import annotations
 
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).with_name("mutants.json")
+# About five times the whole suite's time on a 2-core host (about 60 s).
+TIMEOUT_S = 300
 
 
 def load() -> list[dict]:
@@ -41,8 +46,9 @@ def apply(mutant: dict, root: Path) -> None:
     path.write_text("\n".join(lines))
 
 
-def run(mutant: dict, whole_suite: bool) -> tuple[int, list[str]]:
-    """(pytest exit code, failed test ids) on a mutated copy of the tree."""
+def run(mutant: dict, whole_suite: bool) -> tuple[int | None, list[str]]:
+    """(pytest exit code, failed test ids) on a mutated copy of the tree; the
+    code is None when the run was stopped after TIMEOUT_S."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.pyc", "results")
@@ -53,14 +59,23 @@ def run(mutant: dict, whole_suite: bool) -> tuple[int, list[str]]:
         targets = (["tests", "--deselect", "tests/test_mutants.py"] if whole_suite
                    else mutant["killers"])
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        proc = subprocess.run(
+        # Its own session, so a timeout stops pytest and every child it made.
+        proc = subprocess.Popen(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
              *targets],
-            cwd=copy, env=env, capture_output=True, text=True,
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            text=True, start_new_session=True,
         )
-    failed = [line.split()[1] for line in proc.stdout.splitlines()
+        try:
+            stdout, _ = proc.communicate(timeout=TIMEOUT_S)
+            code = proc.returncode
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            stdout, _ = proc.communicate()
+            code = None
+    failed = [line.split()[1] for line in stdout.splitlines()
               if line.startswith("FAILED ")]
-    return proc.returncode, failed
+    return code, failed
 
 
 def main(argv: list[str]) -> int:
@@ -73,8 +88,9 @@ def main(argv: list[str]) -> int:
         code, failed = run(mutant, whole_suite)
         # Exit code 1 is failed tests; any other non-zero code is an error
         # (a collection failure, say), which kills nothing.
-        verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (exit {code})")
-        escaped += verdict != "killed" and bool(mutant["killers"])
+        verdict = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(
+            code, f"error (exit {code})")
+        escaped += not verdict.startswith("killed") and bool(mutant["killers"])
         print(f"{mutant['name']:36s} {verdict}"
               + (f" by {len(failed)} tests" if failed else ""))
         for test in failed:

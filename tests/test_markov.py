@@ -371,6 +371,20 @@ class TestProduct:
             K = rk.convex_combination(weights, mats)
             assert check_markov(K.entries) is None
 
+    def test_convex_combination_is_the_entrywise_sum(self):
+        # A zero weight adds nothing; it must not leave a fresh Fraction(0)
+        # either, since only identity tells it from the shared zero.
+        rng = Random(32)
+        weights = [Fraction(1, 3), Fraction(0), Fraction(2, 3)]
+        mats = [random_markov(rng, 6, terms=2) for _ in weights]
+        K = rk.convex_combination(weights, mats)
+        assert [list(row) for row in K.entries] == [
+            [sum(w * m.entries[y][x] for w, m in zip(weights, mats))
+             for x in range(6)] for y in range(6)
+        ]
+        zeros = [v for row in K.entries for v in row if v == 0]
+        assert zeros and all(v is markov._ZERO for v in zeros)
+
     def test_convex_combination_refuses_negative_weights(self):
         # Weights (2, -1) sum to 1, and 2K - K = K is Markov, so only the
         # weight check refuses this non-convex combination.

@@ -1,4 +1,7 @@
-"""Sampler inputs outside their regime raise before drawing anything."""
+"""Sampler inputs outside their regime raise before drawing anything, and
+the benchmark's draws stay pinned."""
+import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
@@ -43,3 +46,15 @@ class TestInputRegime:
         with pytest.raises(ValueError, match="terms must be >= 1"):
             random_markov(rng, 4, terms)
         assert rng.getstate() == state
+
+
+# sha256 of json.dumps of the to_strings() of the 16 random_markov(rng, 32,
+# terms=4) matrices drawn from Random(2700): the benchmark's markov-dense
+# pool, whose products are checked there but whose inputs are not.
+MARKOV_DENSE_POOL = "dd77806cdb881cc1752d4a56410b43f28df86ae10401913e0e72e55776b8ae95"
+
+
+def test_random_markov_draws_pinned_at_the_benchmark_size():
+    rng = Random(2700)
+    pool = [random_markov(rng, 32, terms=4).to_strings() for _ in range(16)]
+    assert hashlib.sha256(json.dumps(pool).encode()).hexdigest() == MARKOV_DENSE_POOL

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import roelcke as rk
+from roelcke import markov
 from roelcke.markov import check_markov, compress
 from roelcke.space import AtomSpace, Partition, joint_counts
 
@@ -153,6 +154,11 @@ class TestKoopman:
     def test_two_atom_swap(self):
         got = rk.koopman_matrix(rk.swap(2, 0, 1))
         assert got.to_strings() == [["0", "1"], ["1", "0"]]
+
+    def test_zeros_are_one_shared_object(self):
+        U = rk.koopman_matrix(rk.swap(3, 0, 2))
+        zeros = [v for row in U.entries for v in row if v == 0]
+        assert len(zeros) == 6 and all(v is markov._ZERO for v in zeros)
 
     def test_multiplicative(self):
         rng = Random(11)
