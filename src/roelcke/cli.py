@@ -23,7 +23,8 @@ from typing import Callable, Iterator, get_type_hints
 
 from roelcke import density, factorization, sampling, semigroup, wap
 from roelcke.markov import (
-    MarkovMatrix, _require_ints, _require_positive, convex_combination,
+    MarkovMatrix, _require_ints, _require_positive, _require_tolerance,
+    convex_combination,
 )
 from roelcke.space import compose, joint_matrix, koopman_matrix
 from roelcke.uniformity import (
@@ -53,8 +54,7 @@ class ExperimentConfig:
         _require_positive(self.epsilon)
         if self.cells > self.atoms:
             raise ValueError("cells must not exceed atoms")
-        if not 0 < self.tol < float("inf"):
-            raise ValueError("tol must be positive and finite")
+        _require_tolerance(self.tol)
 
     def to_json_obj(self) -> dict:
         # No suite has a float mode any more; the fixed key keeps report

@@ -23,15 +23,15 @@ common denominator.
 Every product, like every other closed operation here, still passes through
 the validating constructor.  Both work on the support: `product` and
 `convex_combination` build a ``Fraction`` only for a nonzero entry (every
-zero is one shared object, in `space.koopman_matrix` too), and validation
-reads each row once, skipping zeros (see `_sums_violation`).  In a traced
-run of 32 x 32 products of `random_markov` matrices (each a
-`convex_combination` of four Koopman matrices), 60 % zeros, a product took
-0.58 ms per call and its validation 2.09 ms: validation is still most of
-the cost.  Skipping it needs a trusted constructor and integer storage
-(ROADMAP item 2).  Those wait for the benchmark to stop keeping a record per
-item (item 1): until then a faster `order_check` reads there as a rise in
-peak memory.
+zero is one shared object, `_ZERO`, in every builder of `space` and
+`semigroup` too), and validation reads each row once, skipping zeros (see
+`_sums_violation`).  In a traced run of 32 x 32 products of `random_markov`
+matrices (each a `convex_combination` of four Koopman matrices), 60 %
+zeros, a product took 0.58 ms per call and its validation 2.09 ms:
+validation is still most of the cost.  Skipping it needs a trusted
+constructor and integer storage (ROADMAP item 2).  Those wait for the
+benchmark to stop keeping a record per item (item 1): until then a faster
+`order_check` reads there as a rise in peak memory.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover
 Rows = Sequence[Sequence[Fraction]]
 _EXACT = {int, Fraction}
 _INT64_MAX = 2**63 - 1
-_ZERO = Fraction(0)  # every zero entry of a built matrix
+_ZERO = Fraction(0)  # every zero entry of a built Markov matrix
 
 
 def _dtype(bound: int) -> type:
@@ -70,6 +70,12 @@ def _require_positive(epsilon: Fraction) -> None:
     """Raise unless epsilon is an int (not a bool) or a Fraction, above 0."""
     if type(epsilon) not in _EXACT or not epsilon > 0:
         raise ValueError(f"epsilon must be positive and exact, got {epsilon}")
+
+
+def _require_tolerance(tol: float) -> None:
+    """Raise unless tol is an int (not a bool) or a float, above 0 and finite."""
+    if type(tol) not in {int, float} or not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def _require_ints(values: Sequence[int], what: str, low: int | None = None) -> None:

@@ -3,9 +3,12 @@
 Everything takes an explicit `random.Random` (Mersenne Twister); with a
 fixed seed the generated objects, and therefore the experiment reports,
 are reproducible across runs and platforms.  Permutations come from the
-unbiased Fisher-Yates shuffle.  A Markov matrix is the `convex_combination`,
-with normalized rational weights, of random permutations' `koopman_matrix`es,
-which keeps it exactly doubly stochastic without any iterative balancing.
+unbiased Fisher-Yates shuffle.  A small-deviation automorphism is a
+cell-preserving one perturbed by swaps, each kept only while `u_deviation`,
+the one definition of the deviation, stays under epsilon.  A Markov matrix is
+the `convex_combination`, with normalized rational weights, of random
+permutations' `koopman_matrix`es, which keeps it exactly doubly stochastic
+without any iterative balancing.
 """
 from __future__ import annotations
 
@@ -61,41 +64,18 @@ def random_small_deviation(
 ) -> Automorphism:
     """A random automorphism with u_deviation strictly below epsilon.
 
-    Starts cell-preserving, then applies cross-cell transpositions while a
-    per-cell budget keeps the deviation strictly under epsilon, which must
-    be positive.
+    Starts cell-preserving, then for each of a random number of attempts
+    swaps the images of two random atoms, and undoes the swap unless
+    u_deviation stays strictly under epsilon, which must be positive.
     """
     markov._require_positive(epsilon)
     N = partition.space.atom_count
-    n = partition.cell_count
-    T = random_cell_preserving(rng, partition)
-    fwd = list(T.forward)
-    budget = epsilon * N  # per-cell counts must stay strictly below this
-    counts = [0] * n
-    labels = partition.labels
-
-    def add(x: int, sign: int) -> None:
-        i, j = labels[x] - 1, labels[fwd[x]] - 1
-        if i != j:
-            counts[i] += sign
-            counts[j] += sign
-
-    def exchange(x: int, y: int) -> None:
-        """Swap the images of x and y and update the per-cell counts."""
-        add(x, -1)
-        add(y, -1)
-        fwd[x], fwd[y] = fwd[y], fwd[x]
-        add(x, +1)
-        add(y, +1)
-
-    attempts = rng.randrange(0, N)
-    for _ in range(attempts):
+    fwd = list(random_cell_preserving(rng, partition).forward)
+    for _ in range(rng.randrange(0, N)):
         x, y = rng.randrange(N), rng.randrange(N)
-        if x == y:
-            continue
-        exchange(x, y)
-        if not max(counts) < budget:
-            exchange(x, y)  # over budget: undo
+        fwd[x], fwd[y] = fwd[y], fwd[x]  # still a permutation: trusted
+        if not u_deviation(Automorphism._trusted(tuple(fwd)), partition) < epsilon:
+            fwd[x], fwd[y] = fwd[y], fwd[x]
     result = Automorphism(tuple(fwd))
     assert u_deviation(result, partition) < epsilon
     return result

@@ -6,7 +6,9 @@ its one-sided conditions, least idempotents of singly generated closed
 convex subsemigroups via averaged powers, the idempotent of the powers'
 closure, conjugation by automorphisms, and the classification of
 permutation-conjugation-invariant idempotents, which for every size is
-exactly {identity, projection onto constants}, in closed form.
+exactly {identity, projection onto constants}, in closed form.  The zero
+entries built here are `markov._ZERO`, the package's one zero; `conjugate`
+only moves K's own entries.
 
 Averaging runs in floating point with a stopping rule based on successive
 window averages; the window average of powers K^{m+1}..K^{2m} converges
@@ -26,8 +28,10 @@ from fractions import Fraction
 import numpy as np
 import sympy  # unused; perfbench times this import until ROADMAP item 1
 
-from roelcke.markov import MarkovMatrix, _require_ints, product
-from roelcke.space import AtomSpace, Automorphism, Partition, make_partition
+from roelcke.markov import (
+    MarkovMatrix, _ZERO, _require_ints, _require_tolerance, product,
+)
+from roelcke.space import AtomSpace, Automorphism, Partition, inverse, make_partition
 
 
 def is_idempotent(K: MarkovMatrix) -> bool:
@@ -50,13 +54,12 @@ def block_average(partition: Partition) -> MarkovMatrix:
     """
     N = partition.space.atom_count
     labels = partition.labels
-    zero = Fraction(0)
     # One row per cell, shared by the cell's atoms, so a block average holds
     # O(cells * N) entry objects; sharing is safe because rows are tuples.
     cell_rows = []
     for label, size in enumerate(partition.cell_sizes, 1):
         w = Fraction(1, size)
-        cell_rows.append(tuple(w if labels[x] == label else zero for x in range(N)))
+        cell_rows.append(tuple(w if labels[x] == label else _ZERO for x in range(N)))
     return MarkovMatrix(tuple(cell_rows[label - 1] for label in labels))
 
 
@@ -180,16 +183,15 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
     candidate is idempotent and absorbing to tol.  Raises
     `CesaroConvergenceError` once the next window would pass power
     `CESARO_MAX_POWERS`.  The limit lies below `power_idempotent_exact(K)`,
-    the one idempotent among the limits of the powers.  tol must be
-    positive and finite.
+    the one idempotent among the limits of the powers.  tol must be an
+    int or a float, positive and finite.
 
     The classification names `cesaro_limit_exact(K)` by the classes of supp
     K: `identity` (all singletons), `constants_projection` (one class) or
     `block_average`; it is `other` when the window is max(tol, 1e-6) or
     more from that exact limit in some entry.
     """
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _require_tolerance(tol)
     A = np.array([[float(v) for v in row] for row in K.entries])
 
     power = A.copy()  # K^k
@@ -239,15 +241,10 @@ def cesaro_idempotent(K: MarkovMatrix, tol: float = 1e-8) -> IdempotentReport:
 
 def conjugate(K: MarkovMatrix, g: Automorphism) -> MarkovMatrix:
     """U_g K U_g^{-1}: relabels both indices of K by g."""
-    N = K.size
-    if g.atom_count != N:
+    if g.atom_count != K.size:
         raise ValueError("size mismatch")
-    rows = [[Fraction(0)] * N for _ in range(N)]
-    fwd = g.forward
-    for y in range(N):
-        for x in range(N):
-            rows[fwd[y]][fwd[x]] = K.entries[y][x]
-    return MarkovMatrix(tuple(tuple(r) for r in rows))
+    inv = inverse(g).forward  # entry (g(y), g(x)) is K's (y, x)
+    return MarkovMatrix(tuple(tuple(K.entries[y][x] for x in inv) for y in inv))
 
 
 def _pair_orbits(N: int) -> list[list[tuple[int, int]]]:
@@ -312,7 +309,7 @@ def invariant_idempotent_classify(N: int) -> list[MarkovMatrix]:
     if [{y == x for y, x in orbit} for orbit in orbits] != [{True}, {False}]:
         raise RuntimeError(f"pair orbits at N={N} are not the diagonal and the rest")
     out = []
-    for b in (Fraction(0), Fraction(1, N)):
+    for b in (_ZERO, Fraction(1, N)):
         rows = [[None] * N for _ in range(N)]
         for orbit, v in zip(orbits, (1 - (N - 1) * b, b)):
             for y, x in orbit:

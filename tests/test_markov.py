@@ -405,6 +405,37 @@ class TestProduct:
         assert str(err.value) == message
 
 
+# One small matrix with zeros per builder, built in the test so that a
+# broken constructor fails the test, not the module's collection.  A fresh
+# Fraction(0) equals the shared zero, so only identity tells them apart.
+def _u():
+    return rk.koopman_matrix(rk.swap(3, 0, 2))
+
+
+_HALF = Fraction(1, 2)
+BUILDERS = {
+    "identity": lambda: [MarkovMatrix.identity(3)],
+    "koopman_matrix": lambda: [_u()],
+    "product": lambda: [rk.product(_u(), rk.koopman_matrix(rk.swap(3, 0, 1)))],
+    "convex_combination": lambda: [
+        rk.convex_combination([_HALF, _HALF], [_u(), MarkovMatrix.identity(3)])
+    ],
+    "block_average": lambda: [
+        rk.block_average(rk.make_partition(AtomSpace(4), [1, 2, 1, 2]))
+    ],
+    "conjugate": lambda: [rk.conjugate(_u(), rk.swap(3, 0, 1))],
+    "invariant_idempotent_classify": lambda: rk.invariant_idempotent_classify(3),
+    "cesaro_limit_exact": lambda: [rk.cesaro_limit_exact(_u())],
+    "power_idempotent_exact": lambda: [rk.power_idempotent_exact(_u())],
+}
+
+
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+def test_every_zero_entry_is_the_shared_one(build):
+    zeros = [v for K in build() for row in K.entries for v in row if v == 0]
+    assert zeros and all(v is markov._ZERO for v in zeros)
+
+
 class TestCompress:
     def setup_method(self):
         self.alpha = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])

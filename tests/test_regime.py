@@ -1,10 +1,11 @@
 """Inputs outside a routine's regime raise ValueError, through one helper.
 
-Every public boundary check of a size or of a tolerance ε is one call to
-`markov._require_ints` or `markov._require_positive`.  The table below holds
-one out-of-regime input per routine that makes such a call, with the exact
-message it must raise, so merging or moving the checks cannot drop one
-silently; `test_every_helper_call_has_a_row` ties the table to the calls in
+Every public boundary check of a size, of an ε or of a float tolerance is
+one call to `markov._require_ints`, `markov._require_positive` or
+`markov._require_tolerance`.  The table below holds one out-of-regime input
+per routine that makes such a call, with the exact message it must raise,
+so merging or moving the checks cannot drop one silently;
+`test_every_helper_call_has_a_row` ties the table to the calls in
 `src/`.  No row draws from its random generator before it raises.
 """
 import ast
@@ -30,7 +31,7 @@ from roelcke.space import AtomSpace
 from roelcke.wap import ObservableVector
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "roelcke"
-HELPERS = {"_require_ints", "_require_positive"}
+HELPERS = {"_require_ints", "_require_positive", "_require_tolerance"}
 
 P = rk.make_partition(AtomSpace(4), [1, 1, 2, 2])
 S = rk.identity(4)
@@ -96,6 +97,12 @@ ROWS = [
     ("config-trials-zero", "cli.ExperimentConfig.__post_init__",
      lambda rng: ExperimentConfig("forward", trials=0),
      "atoms, cells and trials must be >= 1, got 0"),
+    ("config-tol-nan", "cli.ExperimentConfig.__post_init__",
+     lambda rng: ExperimentConfig("cesaro", tol=float("nan")),
+     "tol must be positive and finite, got nan"),
+    ("cesaro-tol-bool", "semigroup.cesaro_idempotent",
+     lambda rng: rk.cesaro_idempotent(rk.MarkovMatrix.identity(2), tol=True),
+     "tol must be positive and finite, got True"),
     ("swap-float", "space.swap",
      lambda rng: rk.swap(2.5, 0, 1), "atom_count and atoms 2.5 is not an int"),
     ("partition-float", "sampling.random_partition",

@@ -58,3 +58,26 @@ def test_random_markov_draws_pinned_at_the_benchmark_size():
     rng = Random(2700)
     pool = [random_markov(rng, 32, terms=4).to_strings() for _ in range(16)]
     assert hashlib.sha256(json.dumps(pool).encode()).hexdigest() == MARKOV_DENSE_POOL
+
+
+# sha256 of json.dumps of [draws, rng.getstate()] after the sweep below from
+# Random(2900), where each draw is (labels, P.forward, S.forward, T.forward)
+# for a random partition, P = random_small_deviation and (S, T) =
+# random_close_pair.  At N = 16 and epsilon = 1/8 a swap can reach a
+# deviation of exactly epsilon, so a non-strict test changes the draws.
+DEVIATION_SWEEP = "b8fdbf788838fe9b87367888532a80a201a9d62fb36695692cc3110e08babf73"
+
+
+def test_deviation_sampler_draws_pinned():
+    rng = Random(2900)
+    draws = []
+    for N in (8, 16, 64):
+        for n in (2, 3, 4):
+            for eps in (Fraction(1, 8), Fraction(1, 16), Fraction(1, 2), Fraction(3)):
+                for _ in range(10):
+                    partition = random_partition(rng, N, n)
+                    P = random_small_deviation(rng, partition, eps)
+                    S, T = random_close_pair(rng, partition, eps)
+                    draws.append((partition.labels, P.forward, S.forward, T.forward))
+    digest = hashlib.sha256(json.dumps([draws, rng.getstate()]).encode()).hexdigest()
+    assert digest == DEVIATION_SWEEP

@@ -204,7 +204,8 @@ class TestCesaro:
         assert info.value.last_defect > 1e-8
         assert rk.cesaro_limit_exact(K).entries == rk.MarkovMatrix.uniform(3).entries
 
-    @pytest.mark.parametrize("tol", [0, -1e-8, float("inf"), float("nan")])
+    @pytest.mark.parametrize("tol", [0, -1e-8, float("inf"), float("nan"),
+                                     Fraction(1, 10**8)])
     def test_tol_outside_regime_rejected(self, tol):
         # tol = 0 used to run the whole power budget on the identity, whose
         # defect is exactly 0, and blame slow mixing.
