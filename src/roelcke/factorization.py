@@ -20,7 +20,9 @@ P moves no paired atom across cells, so u_deviation(P) depends only on the
 joint counts of S and T and on the target cells of the leftover atoms, in
 atom order (the lemma in `exhaustive_left_factor_scan`).  The scan
 therefore stores signature classes of permutations, not permutations, and
-makes one builder call per class of pairs sharing those data.
+makes one builder call per class of pairs sharing those data.  A class is
+the permutations with one target-cell pattern x -> label(T(x)), so each
+signature is built once per pattern.
 
 Exact accounting at finite scale gives u_deviation(R) <= 2*leftover < 2eps
 and the same bound for P: the left factor maps, for each cell pair (i, j),
@@ -204,13 +206,15 @@ def exhaustive_left_factor_scan(
     factor, and returns (max ratio, number of pairs scanned).  Feasible up
     to 6 atoms, and refused above; epsilon must be positive.
 
-    One walk over each permutation's atoms gives its joint counts and its
-    signature: for each atom x, ascending, the route index k = i*n + j of
-    (A_i containing x, A_j containing T(x)) and x's rank r among the
-    earlier atoms of route k.  Permutations are grouped by joint counts,
-    so the largest count gap between two groups is N*w_distance for every
-    pair across them, and one comparison per pair of groups settles the
-    precondition.
+    A permutation's signature is, for each atom x, ascending, the route
+    index k = i*n + j of (A_i containing x, A_j containing T(x)) and x's
+    rank r among the earlier atoms of route k.  Signature and target-cell
+    pattern x -> j fix each other, so the walk over all N! permutations
+    makes one dict lookup each, keyed by pattern, and keeps each pattern's
+    first permutation; the joint counts and the signature are then built
+    once per pattern.  Patterns are grouped by joint counts, so the largest
+    count gap between two groups is N*w_distance for every pair across
+    them, and one comparison per pair of groups settles the precondition.
 
     Lemma: for a pair (S, T) from groups (ka, kb), u_deviation(P) depends
     only on the two leftover keys.  Route k pairs off its atoms of rank
@@ -226,11 +230,10 @@ def exhaustive_left_factor_scan(
     permutation followed by each permutation of the atoms within every
     cell: exactly prod_j |A_j|! members, sharing joint counts and leftover
     keys.  A group stores each class as its first member only, and its size
-    is derived, not counted: its number of classes times prod_j |A_j|!.  A
-    key's first permutation is the first member of its class, so the
-    builder gets a per-permutation scan's pairs, in order.  The walk over
-    all N! permutations stays until the scan enumerates target-cell
-    patterns.
+    is derived, not counted: its number of classes times prod_j |A_j|!.
+    Patterns, groups and classes keep the order in which the walk first
+    meets them, and a key's first permutation is the first member of its
+    class, so the builder gets a per-permutation scan's pairs, in order.
     """
     N = partition.space.atom_count
     if N > 6:
@@ -241,16 +244,20 @@ def exhaustive_left_factor_scan(
     # An atom x sent to y lies on route row[x] + col[y] = i*n + j.
     row = [(lab - 1) * n for lab in partition.labels]
     col = [lab - 1 for lab in partition.labels]
+    # Target-cell pattern -> its first permutation, in order of appearance.
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for fwd in itertools.permutations(range(N)):
+        first.setdefault(tuple(map(col.__getitem__, fwd)), fwd)
     # Joint counts -> signature -> the class's first permutation.
     groups: dict[tuple[int, ...], dict] = {}
-    for fwd in itertools.permutations(range(N)):
+    for pattern, fwd in first.items():
         counts = [0] * (n * n)
         signature = []
-        for x, y in enumerate(fwd):
-            k = row[x] + col[y]
+        for x, j in enumerate(pattern):
+            k = row[x] + j
             signature.append((k, counts[k]))
             counts[k] += 1
-        groups.setdefault(tuple(counts), {}).setdefault(tuple(signature), fwd)
+        groups.setdefault(tuple(counts), {})[tuple(signature)] = fwd
     class_size = math.prod(map(math.factorial, partition.cell_sizes))
     sizes = {k: len(g) * class_size for k, g in groups.items()}
 

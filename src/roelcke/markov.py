@@ -20,18 +20,20 @@ those of the schoolbook ``Fraction`` product, in lowest terms, so equality
 stays structural.  The speed rests on each factor's entries sharing a small
 common denominator.
 
-Every product, like every other closed operation here, still passes through
-the validating constructor.  Both work on the support: `product` and
-`convex_combination` build a ``Fraction`` only for a nonzero entry (every
-zero is one shared object, `_ZERO`, in every builder of `space` and
-`semigroup` too), and validation reads each row once, skipping zeros (see
-`_sums_violation`).  In a traced run of 32 x 32 products of `random_markov`
-matrices (each a `convex_combination` of four Koopman matrices), 60 %
-zeros, a product took 0.58 ms per call and its validation 2.09 ms:
-validation is still most of the cost.  Skipping it needs a trusted
-constructor and integer storage (ROADMAP item 2).  Those wait for the
-benchmark to stop keeping a record per item (item 1): until then a faster
-`order_check` reads there as a rise in peak memory.
+Two closed operations cannot leave the set, so they skip validation through
+the private `MarkovMatrix._trusted`: `space.koopman_matrix` (a permutation
+matrix) and `convex_combination` (exact weights, checked nonnegative and
+summing to 1).  Every product, like every other closed operation here,
+still passes through the validating constructor.  Both work on the support:
+`product` and `convex_combination` build a ``Fraction`` only for a nonzero
+entry (every zero is one shared object, `_ZERO`, in every builder of
+`space` and `semigroup` too), and validation reads each row once, skipping
+zeros (see `_sums_violation`).  In a traced run of 32 x 32 products of
+`random_markov` matrices (each a `convex_combination` of four Koopman
+matrices), 60 % zeros, a product took 0.58 ms per call and its validation
+2.09 ms: validation is still most of the cost.  A trusted `product` waits
+for the benchmark to stop keeping a record per item (ROADMAP items 1 and
+2): until then a faster `order_check` reads there as a rise in peak memory.
 """
 from __future__ import annotations
 
@@ -153,6 +155,14 @@ class MarkovMatrix:
             raise ValueError(f"not a Markov matrix: {violation}")
 
     @classmethod
+    def _trusted(cls, entries: tuple[tuple[Fraction, ...], ...]) -> "MarkovMatrix":
+        """Wrap exact rows already known to be doubly stochastic, without
+        validation (see the module docstring for its two callers)."""
+        K = object.__new__(cls)
+        object.__setattr__(K, "entries", entries)
+        return K
+
+    @classmethod
     def identity(cls, size: int) -> "MarkovMatrix":
         _require_ints((size,), "not a Markov matrix: size {!r}", 1)
         one = Fraction(1)
@@ -232,9 +242,11 @@ def convex_combination(
     weights: Sequence[Fraction], matrices: Sequence[MarkovMatrix]
 ) -> MarkovMatrix:
     """Rational convex combination; stays Markov.  Built on the support:
-    only nonzero w * K[y][x] are added, and every zero is the shared one."""
+    only nonzero w * K[y][x] are added, and every zero is the shared one.
+    The weights are checked, the sum is not re-validated."""
     if len(weights) != len(matrices) or not matrices:
         raise ValueError("weights and matrices must be nonempty and aligned")
+    _require_exact((weights,), "weight")
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise ValueError("weights must be nonnegative and sum to 1")
     n = matrices[0].size
@@ -246,7 +258,7 @@ def convex_combination(
             for x, v in enumerate(row):
                 if v and w:
                     out[x] += w * v
-    return MarkovMatrix(tuple(map(tuple, rows)))
+    return MarkovMatrix._trusted(tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)

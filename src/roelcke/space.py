@@ -150,13 +150,14 @@ def koopman_matrix(T: Automorphism) -> markov.MarkovMatrix:
     """The permutation matrix U with U e_x = e_{T(x)}.
 
     Acting on observables, (Uf)(y) = f(T^{-1}(y)), so U represents
-    composition with the inverse map.
+    composition with the inverse map.  Doubly stochastic by construction,
+    so not re-validated.
     """
     N = T.atom_count
     rows = [[markov._ZERO] * N for _ in range(N)]
     for x, y in enumerate(T.forward):
         rows[y][x] = Fraction(1)
-    return markov.MarkovMatrix(tuple(map(tuple, rows)))
+    return markov.MarkovMatrix._trusted(tuple(map(tuple, rows)))
 
 
 def joint_counts(T: Automorphism, partition: Partition) -> list[list[int]]:

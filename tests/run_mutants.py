@@ -61,8 +61,8 @@ def run(mutant: dict, whole_suite: bool) -> tuple[int | None, list[str]]:
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         # Its own session, so a timeout stops pytest and every child it made.
         proc = subprocess.Popen(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-             *targets],
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", *targets],
             cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             text=True, start_new_session=True,
         )
@@ -73,8 +73,9 @@ def run(mutant: dict, whole_suite: bool) -> tuple[int | None, list[str]]:
             os.killpg(proc.pid, signal.SIGKILL)
             stdout, _ = proc.communicate()
             code = None
+    # A test whose fixture raises is reported as an ERROR; it fails too.
     failed = [line.split()[1] for line in stdout.splitlines()
-              if line.startswith("FAILED ")]
+              if line.startswith(("FAILED ", "ERROR "))]
     return code, failed
 
 
@@ -86,8 +87,9 @@ def main(argv: list[str]) -> int:
             print(f"{mutant['name']:36s} known survivor (no killer named)")
             continue
         code, failed = run(mutant, whole_suite)
-        # Exit code 1 is failed tests; any other non-zero code is an error
-        # (a collection failure, say), which kills nothing.
+        # Exit code 1 is failed tests.  A module that fails to collect is
+        # reported, as an ERROR, and the other modules still run, as in
+        # tier-1.  Any other non-zero code is an error, which kills nothing.
         verdict = {0: "SURVIVED", 1: "killed", None: "killed (timeout)"}.get(
             code, f"error (exit {code})")
         escaped += not verdict.startswith("killed") and bool(mutant["killers"])

@@ -93,6 +93,29 @@ _CRITERION_2_WITNESS_INPUTS = {
 }
 
 
+# The sha256 of repr([(S.forward, T.forward), ...]) over every builder call
+# of the eight ACCEPTANCE-line cases above (all but the last), in call order:
+# 39 calls.  One pin for the whole oracle, so a change to the scan's walk
+# shows as one digest.
+_CRITERION_2_BUILDER_CALLS = (
+    "d7128c9c85715a1f87e71915f33d0ea2b8aef58de1fd9891f4ecc75b2dcf1ca3"
+)
+
+
+def record_builds(monkeypatch):
+    """The list that (S.forward, T.forward) of every later builder call is
+    appended to, in call order."""
+    built = []
+    build = factorization._build_witness
+
+    def record(S, T, *rest):
+        built.append((S.forward, T.forward))
+        return build(S, T, *rest)
+
+    monkeypatch.setattr(factorization, "_build_witness", record)
+    return built
+
+
 @functools.lru_cache(maxsize=None)
 def qualifying_pairs(labels, eps):
     """Every ordered pair (S, T) with w_distance < eps/n^2, each with the
@@ -386,14 +409,7 @@ class TestLeftFactorScan:
     def test_criterion_2_results_and_builds_pinned(
         self, monkeypatch, labels, eps, result, builds
     ):
-        built = []
-        build = factorization._build_witness
-
-        def record(S, T, *rest):
-            built.append((S.forward, T.forward))
-            return build(S, T, *rest)
-
-        monkeypatch.setattr(factorization, "_build_witness", record)
+        built = record_builds(monkeypatch)
         alpha = rk.make_partition(AtomSpace(len(labels)), labels)
         assert exhaustive_left_factor_scan(alpha, eps) == result
         assert len(built) == builds
@@ -405,3 +421,13 @@ class TestLeftFactorScan:
         worst, scanned = exhaustive_left_factor_scan(alpha, Fraction(1, 2))
         assert scanned > 0
         assert worst == 0
+
+
+def test_scan_builder_calls_pinned(monkeypatch):
+    built = record_builds(monkeypatch)
+    for labels, eps, _, _ in _CRITERION_2_CASES[:-1]:
+        alpha = rk.make_partition(AtomSpace(len(labels)), labels)
+        exhaustive_left_factor_scan(alpha, eps)
+    assert len(built) == 39
+    digest = hashlib.sha256(repr(built).encode()).hexdigest()
+    assert digest == _CRITERION_2_BUILDER_CALLS

@@ -397,7 +397,10 @@ class TestProduct:
         ([Fraction(1)], [2, 2], "weights and matrices must be nonempty and aligned"),
         ([H, Q], [2, 2], "weights must be nonnegative and sum to 1"),
         ([H, H], [2, 3], "matrix sizes differ"),
-    ], ids=["empty", "misaligned", "sum-below-1", "sizes-differ"])
+        # Floats summing to 1 would put float entries in a matrix that
+        # convex_combination wraps without validation.
+        ([0.5, 0.5], [2, 2], "weight 0.5 is not an int or a Fraction"),
+    ], ids=["empty", "misaligned", "sum-below-1", "sizes-differ", "float-weight"])
     def test_convex_combination_refuses(self, weights, sizes, message):
         matrices = [MarkovMatrix.identity(n) for n in sizes]
         with pytest.raises(ValueError) as err:
